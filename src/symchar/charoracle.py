@@ -96,7 +96,8 @@ def dimension(rows: Partition) -> int:
     for h in hook_lengths(rows):
         denom *= h
     num = factorial(n)
-    assert num % denom == 0, "hook product must divide n!"
+    if num % denom:
+        raise ArithmeticError(f"hook product {denom} does not divide {n}!")
     dim = num // denom
     _dim_cache[rows] = dim
     return dim

@@ -185,7 +185,8 @@ def _cmd_verify(args) -> int:
     results = verify.run_checks(args.max_n, args.max_k)
     failed = [r for r in results if not r.passed]
     if args.json:
-        doc = {"checks": [{"check": r.name, "status": "pass" if r.passed else "fail"}
+        doc = {"checks": [{"check": r.name, "status": "pass"} if r.passed else
+                          {"check": r.name, "status": "fail", "detail": r.detail}
                           for r in results]}
         print(json.dumps(doc, sort_keys=True))
     else:

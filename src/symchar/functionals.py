@@ -11,6 +11,7 @@ multirectangular diagrams.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -166,6 +167,31 @@ def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     return poly.coefficient_of({("s", 1): k})
 
 
+def _multirect_factorization_sum(pi: perms.Perm, r: int,
+                                 cycle_total: int | None = None) -> RatPoly:
+    """Sum over factorizations s1 o s2 = pi, only those with
+    |C(s1)| + |C(s2)| = cycle_total when it is given, and over colorings
+    phi2 of the s2-cycles by blocks 1..r, of sign(s1) prod_j p_{phi2(j)}
+    prod_i q_{phi1(i)}, where phi1 gives each s1-cycle the largest phi2-color
+    among the s2-cycles it meets.  Folds over perms.factorization_patterns."""
+    names = [("p", i) for i in range(1, r + 1)] + [("q", i) for i in range(1, r + 1)]
+    accum: Counter = Counter()
+    for (m2, masks), mult in perms.factorization_patterns(pi).items():
+        if cycle_total is not None and len(masks) + m2 != cycle_total:
+            continue
+        weight = mult if (len(pi) - len(masks)) % 2 == 0 else -mult
+        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+        for phi2 in iproduct(range(r), repeat=m2):
+            exps = [0] * (2 * r)
+            for color in phi2:
+                exps[color] += 1
+            for a in adj:
+                exps[r + max([phi2[j] for j in a])] += 1
+            accum[tuple(exps)] += weight
+    return RatPoly({tuple((v, e) for v, e in zip(names, exps) if e): Fraction(c)
+                    for exps, c in accum.items() if c})
+
+
 @lru_cache(maxsize=None)
 def free_cumulant_multirect_symbolic(r: int, k: int) -> RatPoly:
     """R_k of the r-block diagram p x q by the minimal-factorization sum:
@@ -176,29 +202,7 @@ def free_cumulant_multirect_symbolic(r: int, k: int) -> RatPoly:
         raise ValueError("need at least one block")
     if k < 2:
         raise ValueError("k must be >= 2")
-    accum: dict = {}
-    for s1, s2 in perms.factorizations_of_cycle(k - 1):
-        c1 = perms.cycles(s1)
-        c2 = perms.cycles(s2)
-        if len(c1) + len(c2) != k:
-            continue
-        sg = 1 if (k - 1 - len(c1)) % 2 == 0 else -1
-        owner = [0] * k
-        for idx, cyc in enumerate(c2):
-            for pt in cyc:
-                owner[pt] = idx
-        adj = [sorted({owner[pt] for pt in cyc}) for cyc in c1]
-        for phi2 in iproduct(range(1, r + 1), repeat=len(c2)):
-            qexp = [0] * (r + 1)
-            for a in adj:
-                qexp[max(phi2[j] for j in a)] += 1
-            pexp = [0] * (r + 1)
-            for color in phi2:
-                pexp[color] += 1
-            mono = tuple((("p", i), pexp[i]) for i in range(1, r + 1) if pexp[i]) \
-                + tuple((("q", i), qexp[i]) for i in range(1, r + 1) if qexp[i])
-            accum[mono] = accum.get(mono, 0) + sg
-    return RatPoly({m: Fraction(c) for m, c in accum.items() if c})
+    return _multirect_factorization_sum(perms.canonical_cycle(k - 1), r, k)
 
 
 def free_cumulant_multirect(m: MultiRect, k: int) -> Fraction:

@@ -1,5 +1,6 @@
-"""Permutations of {1..k} in one-line notation, and factorizations of the
-canonical long cycle.
+"""Permutations of {1..k} in one-line notation, factorizations of the
+canonical long cycle, and the intersection-pattern tally of the
+factorizations of any permutation.
 
 A permutation of degree k is a tuple ``images`` of length k where
 ``images[i-1]`` is the image of i.  Composition is (a * b)(x) = a(b(x)),
@@ -9,6 +10,7 @@ i.e. b acts first.  The canonical k-cycle maps 1 -> 2 -> ... -> k -> 1.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Iterator
 
 Perm = tuple[int, ...]
@@ -108,6 +110,48 @@ def factorizations_of_cycle(k: int) -> Iterator[tuple[Perm, Perm]]:
     target = canonical_cycle(k)
     for s1 in all_perms(k):
         yield s1, compose(inverse(s1), target)
+
+
+def factorization_patterns(pi: Perm) -> Counter:
+    """Tally of the factorizations s1 o s2 = pi by intersection pattern.
+
+    A pair's pattern is (m2, masks): m2 = |C(s2)|, and masks lists, sorted,
+    one bitmask per s1-cycle of the s2-cycles it meets, numbered as in
+    cycles(s2).  It fixes |C(s1)| = len(masks) and sign(s1), and every sum
+    over factorizations here depends on a pair only through it.  One pass
+    over t = s2^-1 in S(k), with s1 = pi o t; t has the cycles of s2.
+    """
+    if not is_perm(pi):
+        raise ValueError(f"not a permutation: {pi}")
+    k = len(pi)
+    target = [v - 1 for v in pi]
+    points = range(k)
+    tally: Counter = Counter()
+    for t in itertools.permutations(points):
+        s1 = list(map(target.__getitem__, t))
+        bit = [0] * k
+        m2 = 0
+        for start in points:
+            if not bit[start]:
+                b = 1 << m2
+                m2 += 1
+                x = start
+                while not bit[x]:
+                    bit[x] = b
+                    x = t[x]
+        masks = []
+        for start in points:
+            if bit[start]:
+                mask = 0
+                x = start
+                while bit[x]:
+                    mask |= bit[x]
+                    bit[x] = 0
+                    x = s1[x]
+                masks.append(mask)
+        masks.sort()
+        tally[m2, tuple(masks)] += 1
+    return tally
 
 
 def cycles_intersect(c1: Iterable[int], c2: Iterable[int]) -> bool:

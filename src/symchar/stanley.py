@@ -6,19 +6,25 @@ The central sum runs over factorizations s1 o s2 = pi: each coloring phi2 of
 the s2-cycles by blocks 1..r induces phi1 on the s1-cycles by taking the
 maximum phi2-color over intersecting s2-cycles, and contributes
 sign(s1) * prod q_{phi1} * prod p_{phi2}.
+
+This sum and the J_k count run as folds over one pass of
+perms.factorization_patterns, so after that pass their cost scales with the
+number of distinct intersection patterns (312 at k = 7), not with the k!
+pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iterperms
-from itertools import product as iproduct
 from math import factorial
 from typing import Sequence
 
 from symchar import perms
-from symchar.functionals import s_functional_multirect_symbolic
+from symchar.charoracle import _falling
+from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
 from symchar.ratpoly import Mono, RatPoly, Var
 
@@ -28,31 +34,7 @@ def stanley_character_poly(pi: Perm, r: int) -> RatPoly:
     expanded as an exact polynomial in p_1..p_r, q_1..q_r."""
     if r < 1:
         raise ValueError("need at least one block")
-    k = len(pi)
-    if not perms.is_perm(pi):
-        raise ValueError(f"not a permutation: {pi}")
-    accum: dict[Mono, int] = {}
-    for s1 in perms.all_perms(k):
-        s2 = perms.compose(perms.inverse(s1), pi)
-        c1 = perms.cycles(s1)
-        c2 = perms.cycles(s2)
-        sg = 1 if (k - len(c1)) % 2 == 0 else -1
-        owner = [0] * (k + 1)
-        for idx, cyc in enumerate(c2):
-            for pt in cyc:
-                owner[pt] = idx
-        adj = [sorted({owner[pt] for pt in cyc}) for cyc in c1]
-        for phi2 in iproduct(range(1, r + 1), repeat=len(c2)):
-            qexp = [0] * (r + 1)
-            for a in adj:
-                qexp[max(phi2[j] for j in a)] += 1
-            pexp = [0] * (r + 1)
-            for color in phi2:
-                pexp[color] += 1
-            mono = tuple((("p", i), pexp[i]) for i in range(1, r + 1) if pexp[i]) \
-                + tuple((("q", i), qexp[i]) for i in range(1, r + 1) if qexp[i])
-            accum[mono] = accum.get(mono, 0) + sg
-    return RatPoly({m: Fraction(c) for m, c in accum.items() if c})
+    return _multirect_factorization_sum(pi, r)
 
 
 def pq_bracket(poly: RatPoly, js: Sequence[int]) -> Fraction:
@@ -89,13 +71,6 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
         rest = tuple((v, e) for v, e in mono if v[0] != "p")
         out[rest] = out.get(rest, Fraction(0)) + coeff
     return RatPoly(out)
-
-
-def _falling(n: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
 
 
 def check_s_coefficient_formula(k: int, indices: Sequence[int],
@@ -163,38 +138,21 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    tally: dict[tuple[int, ...], int] = {}
-    for s1, s2 in perms.factorizations_of_cycle(k):
-        c1 = perms.cycles(s1)
-        c2 = perms.cycles(s2)
-        m2 = len(c2)
-        owner = [0] * (k + 1)
-        for idx, cyc in enumerate(c2):
-            for pt in cyc:
-                owner[pt] = idx
-        adj = [tuple({owner[pt] for pt in cyc}) for cyc in c1]
+    by_multiset: Counter = Counter()
+    for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
+        if len(masks) < m2:
+            continue  # some label would be the maximum of no s1-cycle
+        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
         for labeling in iterperms(range(1, m2 + 1)):
             counts = [0] * m2
             for a in adj:
-                h = max(labeling[j] for j in a)
-                counts[h - 1] += 1
-            if 0 in counts:
-                continue
-            js = tuple(c + 1 for c in counts)
-            tally[js] = tally.get(js, 0) + 1
-    by_multiset: dict[tuple[int, ...], int] = {}
-    for js, count in tally.items():
-        key = tuple(sorted(js))
-        by_multiset[key] = by_multiset.get(key, 0) + count
+                counts[max([labeling[j] for j in a]) - 1] += 1
+            if 0 not in counts:
+                by_multiset[tuple(sorted(c + 1 for c in counts))] += mult
     terms: dict[Mono, Fraction] = {}
     for key, total in by_multiset.items():
-        l = len(key)
-        coeff = Fraction((-1) ** (l - 1) * total, factorial(l))
-        mults: dict[int, int] = {}
-        for j in key:
-            mults[j] = mults.get(j, 0) + 1
-        mono = tuple((("S", j), e) for j, e in sorted(mults.items()))
-        terms[mono] = coeff
+        mono = tuple((("S", j), e) for j, e in sorted(Counter(key).items()))
+        terms[mono] = Fraction((-1) ** (len(key) - 1) * total, factorial(len(key)))
     return RatPoly(terms)
 
 

@@ -235,12 +235,9 @@ def check_marriage_equivalence(max_k: int):
 
 def check_catalan_minimal_factorizations(max_k: int):
     for k in range(1, max_k + 1):
-        pairs = 0
-        minimal = 0
-        for s1, s2 in perms.factorizations_of_cycle(k):
-            pairs += 1
-            if perms.cycle_count(s1) + perms.cycle_count(s2) == k + 1:
-                minimal += 1
+        patterns = perms.factorization_patterns(perms.canonical_cycle(k))
+        pairs = sum(patterns.values())
+        minimal = sum(n for (m2, masks), n in patterns.items() if len(masks) + m2 == k + 1)
         if pairs != factorial(k):
             return False, f"k={k}: {pairs} pairs, expected {factorial(k)}"
         catalan = comb(2 * k, k) // (k + 1)

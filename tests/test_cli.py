@@ -1,6 +1,6 @@
 import json
 
-from symchar import charoracle
+from symchar import charoracle, verify
 from symchar.cli import main
 from symchar.ratpoly import RatPoly
 
@@ -187,3 +187,16 @@ def test_injected_fault_breaks_verification(capsys, monkeypatch):
         charoracle.clear_caches()
     assert code == 2
     assert "FAIL" in out
+
+
+def test_verify_json_reports_failure_detail(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_catalan_minimal_factorizations",
+                        lambda max_k: (False, "boom"))
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-k", "3", "--json")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert len(failed) == 1
+    assert failed[0]["check"].startswith("catalan-minimal-factorizations")
+    assert failed[0]["detail"] == "boom"
+    assert all(set(c) == {"check", "status"} for c in checks if c["status"] == "pass")

@@ -4,8 +4,8 @@ import pytest
 
 from symchar import perms
 from symchar.charoracle import normalized_character
-from symchar.diagrams import partitions_up_to
-from symchar.functionals import r_vector
+from symchar.diagrams import partitions, partitions_up_to
+from symchar.functionals import r_vector, s_vector
 from symchar.kerov import (
     KerovTriple,
     candidate_triples,
@@ -17,6 +17,7 @@ from symchar.kerov import (
     s_in_terms_of_r,
 )
 from symchar.ratpoly import R, RatPoly, S
+from symchar.stanley import j_polynomial_by_counting
 
 K_EXPECTED = {
     1: "R2",
@@ -131,6 +132,18 @@ def test_evaluation_against_oracle():
         for k in range(1, n + 1):
             assert kerov_polynomial_by_counting(k).evaluate(assign) == \
                 normalized_character(rows, k)
+
+
+def test_k9_and_j8_against_oracle():
+    k9 = kerov_polynomial_by_counting(9)
+    j8 = j_polynomial_by_counting(8)
+    shapes = [rows for n in (8, 9, 10) for rows in partitions(n)]
+    assert len(shapes) == 94
+    for rows in shapes:
+        r_assign = {("R", j): v for j, v in r_vector(rows, 10).items()}
+        s_assign = {("S", j): v for j, v in s_vector(rows, 9).items()}
+        assert k9.evaluate(r_assign) == normalized_character(rows, 9), rows
+        assert j8.evaluate(s_assign) == normalized_character(rows, 8), rows
 
 
 def test_evaluation_beyond_diagram_size():

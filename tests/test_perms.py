@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -107,3 +108,28 @@ def test_cycles_intersect():
     assert perms.cycles_intersect((1, 2), (2, 3))
     assert not perms.cycles_intersect((1,), (2, 3))
     assert perms.cycles_intersect((1, 2), (1, 2))
+
+
+def _patterns_by_brute_force(pi):
+    tally = Counter()
+    for s2 in perms.all_perms(len(pi)):
+        s1 = perms.compose(pi, perms.inverse(s2))
+        assert perms.compose(s1, s2) == pi
+        c2 = perms.cycles(s2)
+        masks = sorted(sum(1 << j for j, c in enumerate(c2) if perms.cycles_intersect(cyc, c))
+                       for cyc in perms.cycles(s1))
+        tally[len(c2), tuple(masks)] += 1
+    return tally
+
+
+@pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 7)]
+                         + [(2, 3, 1, 5, 4)])
+def test_factorization_patterns_match_brute_force(pi):
+    got = perms.factorization_patterns(pi)
+    assert got == _patterns_by_brute_force(pi)
+    assert sum(got.values()) == factorial(len(pi))
+
+
+def test_factorization_patterns_rejects_non_permutation():
+    with pytest.raises(ValueError):
+        perms.factorization_patterns((1, 1, 3))
