@@ -62,8 +62,11 @@ def mn_character(rows: Partition, mu: Sequence[int]) -> int:
 
 
 def _mn_recurse(rows: Partition, mu: Partition) -> int:
-    if not mu:
-        return 1
+    """chi^rows(mu) for mu sorted in descending order.  Once only parts 1
+    remain the class is the identity, where the character is the dimension,
+    so the recursion depth is the number of parts >= 2."""
+    if not mu or mu[0] == 1:
+        return dimension(rows)
     key = (rows, mu)
     cached = _mn_cache.get(key)
     if cached is not None:

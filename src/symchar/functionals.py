@@ -3,10 +3,10 @@ available through several independent computation routes.
 
 S_k is (k-1) times the integral of contents^{k-2} over the diagram; it can
 be evaluated box by box, from shifted Frobenius coordinates, or symbolically
-on a multirectangular diagram.  R_k is obtained from the S-values by an
-exact composition formula, as the leading coefficient of the dilated
-normalized character, or by the minimal-factorization sum on
-multirectangular diagrams.
+on a multirectangular diagram.  R_k is obtained from the S-values by
+truncated power-series composition (inverted in closed form by
+kerov.s_in_terms_of_r), as the leading coefficient of the dilated normalized
+character, or by the minimal-factorization sum on multirectangular diagrams.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from math import factorial
-from typing import Iterator, Mapping
+from math import comb, factorial, prod
+from typing import Mapping
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -67,21 +68,30 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
 
     The integral over block i (x in [0, q_i], y in [Y_{i-1}, Y_i] with
     Y_i = p_1 + ... + p_i) has the closed corner form
-    [(q-c)^k - (q-d)^k - (-c)^k + (-d)^k] / k for y-range [c, d].
+    [(q_i-Y_{i-1})^k - (q_i-Y_i)^k - (-Y_{i-1})^k + (-Y_i)^k] / k.  Summed
+    over the blocks, the (-Y)^k terms telescope to (-Y_r)^k, which cancels
+    the q-free parts of the others, so
+
+        k S_k = sum_i sum_{a=1}^{k-1} C(k,a) (-1)^(a+1) q_i^(k-a) (Y_i^a - Y_{i-1}^a).
+
+    By the multinomial theorem, Y_i^a - Y_{i-1}^a is the sum of
+    multinomial(a; e) p^e over exponent vectors e of p_1..p_i with |e| = a
+    and e_i >= 1.  Each (i, e) owns one monomial, so every coefficient is
+    written down directly, without polynomial products.
     """
     if r < 1:
         raise ValueError("need at least one block")
     if k < 2:
         raise ValueError("k must be >= 2")
-    total = RatPoly.zero()
-    y_prev = RatPoly.zero()
+    terms = {}
     for i in range(1, r + 1):
-        y_next = y_prev + RatPoly.variable(("p", i))
-        qi = RatPoly.variable(("q", i))
-        total = total + ((qi - y_prev) ** k - (qi - y_next) ** k
-                         - (-y_prev) ** k + (-y_next) ** k)
-        y_prev = y_next
-    return total * Fraction(1, k)
+        for a in range(1, k):
+            scale = (-1) ** (a + 1) * comb(k, a) * factorial(a)
+            for rest in combinations_with_replacement(range(1, i + 1), a - 1):
+                e = Counter(rest + (i,))
+                mono = tuple((("p", j), x) for j, x in sorted(e.items())) + ((("q", i), k - a),)
+                terms[mono] = Fraction(scale // prod(map(factorial, e.values())), k)
+    return RatPoly(terms)
 
 
 def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
@@ -101,45 +111,40 @@ def s_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
     return {k: s_functional_boxes(rows, k) for k in range(2, k_max + 1)}
 
 
-def _compositions_ge2(total: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of integers >= 2 summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(2, total + 1):
-        rest = total - first
-        if rest == 0:
-            yield (first,)
-        elif rest >= 2:
-            for tail in _compositions_ge2(rest):
-                yield (first,) + tail
+def _power_coefficients(v: Mapping[int, object], k: int) -> list:
+    """[z^k] V(z)^l for l = 1..k//2, where V(z) = sum_{j>=2} v[j] z^j.
+
+    The values need only + and *, so Fractions and RatPolys both work.  The
+    powers are truncated at z^(k-2), so v[k-1] is never read: in a sum of
+    parts >= 2 that equals k, a part k - 1 would leave 1 for the others.
+    """
+    coeffs = [v[k]]
+    power = {d: v[d] for d in range(2, k - 1)}  # V^1 up to z^(k-2)
+    for l in range(2, k // 2 + 1):
+        low = 2 * (l - 1)  # lowest degree of V^(l-1)
+        coeffs.append(sum(power[d] * v[k - d] for d in range(low, k - 1)))
+        power = {d: sum(power[e] * v[d - e] for e in range(low, d - 1))
+                 for d in range(low + 2, k - 1)}
+    return coeffs
 
 
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int):
     """R_k from the S-values by the exact composition sum
 
-        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1}
-              sum_{j_1+...+j_l = k, j_i >= 2} S_{j_1} ... S_{j_l}.
+        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
 
-    The inner sum runs over ordered tuples.  Values may be Fractions or
-    RatPoly, so the same formula yields the symbolic expansion.
+    where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
+    j_1+...+j_l = k of parts >= 2; the truncated powers of S(z) compute all
+    of them in O(k^3) products.  Values may be Fractions or RatPoly, so the
+    same formula yields the symbolic expansion.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    total = None
-    for comp in _compositions_ge2(k):
-        l = len(comp)
-        try:
-            prod = s_values[comp[0]]
-        except KeyError:
-            raise KeyError(f"missing S_{comp[0]} value") from None
-        for j in comp[1:]:
-            if j not in s_values:
-                raise KeyError(f"missing S_{j} value")
-            prod = prod * s_values[j]
-        term = Fraction((1 - k) ** (l - 1), factorial(l)) * prod
-        total = term if total is None else total + term
-    return total
+    for j in (*range(2, k - 1), k):
+        if j not in s_values:
+            raise KeyError(f"missing S_{j} value")
+    return sum(Fraction((1 - k) ** (l - 1), factorial(l)) * c
+               for l, c in enumerate(_power_coefficients(s_values, k), 1))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ K_k is generated by enumerating factorizations s1 o s2 = (1..k) together
 with colorings of the s2-cycles by colors >= 2 whose total matches
 |C(s1)| + |C(s2)|, filtered by a strict Hall-type marriage condition.  Two
 independent cross-checks are provided: basis conversion from J_k via the
-triangular inversion S_j(R), and a direct count for the quadratic
-derivatives.
+Lagrange-inversion closed form of S_j(R), and a direct count for the
+quadratic derivatives.
 
 Both counts run as folds over one pass of perms.factorization_patterns, so
 after that pass their cost scales with the number of distinct intersection
@@ -22,7 +22,8 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from symchar import perms
-from symchar.functionals import _compositions_ge2
+from symchar.charoracle import _falling
+from symchar.functionals import _power_coefficients
 from symchar.perms import Perm
 from symchar.ratpoly import RatPoly
 from symchar.stanley import j_polynomial_by_counting
@@ -235,23 +236,19 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
 
 @lru_cache(maxsize=None)
 def s_in_terms_of_r(k_max: int) -> dict[int, RatPoly]:
-    """S_j as a polynomial in R_2..R_j for 2 <= j <= k_max, by triangular
-    inversion of the composition formula R_j = S_j + (lower products)."""
+    """S_j as a polynomial in R_2..R_j for 2 <= j <= k_max, by the closed
+    form that Lagrange inversion gives for the composition formula:
+
+        S_j = sum_{l>=1} (j-1)(j-2)...(j-l+1)/l! [z^j] R(z)^l,  R(z) = sum_{i>=2} R_i z^i.
+
+    It shares no step with functionals.r_in_terms_of_s, so composing the two
+    checks one formula against an independent one."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    inv: dict[int, RatPoly] = {}
-    for k in range(2, k_max + 1):
-        correction = RatPoly.zero()
-        for comp in _compositions_ge2(k):
-            l = len(comp)
-            if l == 1:
-                continue
-            prod = inv[comp[0]]
-            for j in comp[1:]:
-                prod = prod * inv[j]
-            correction = correction + Fraction((1 - k) ** (l - 1), factorial(l)) * prod
-        inv[k] = RatPoly.variable(("R", k)) - correction
-    return inv
+    r_vars = {j: RatPoly.variable(("R", j)) for j in range(2, k_max + 1)}
+    return {j: sum(Fraction(_falling(j - 1, l - 1), factorial(l)) * c
+                   for l, c in enumerate(_power_coefficients(r_vars, j), 1))
+            for j in range(2, k_max + 1)}
 
 
 def kerov_polynomial_by_conversion(k: int) -> RatPoly:

@@ -88,10 +88,6 @@ def mono_weight(mono: Mono) -> int:
     return total
 
 
-def mono_degree(mono: Mono) -> int:
-    return sum(exp for _, exp in mono)
-
-
 def _term_sort_key(mono: Mono):
     seq = []
     for var, exp in sorted(mono, key=lambda it: _var_key(it[0]), reverse=True):
@@ -150,17 +146,15 @@ class RatPoly:
         """Terms in canonical print order."""
         return sorted(self._terms.items(), key=lambda it: _term_sort_key(it[0]))
 
+    def terms(self) -> Iterable[tuple[Mono, Fraction]]:
+        """Terms in no particular order, without the sort that items() does."""
+        return self._terms.items()
+
     def variables(self) -> set[Var]:
         return {var for mono in self._terms for var, _ in mono}
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self._terms), default=0)
-
     def coefficient_of(self, mono) -> Fraction:
         return self._terms.get(normalize_mono(mono), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):

@@ -64,7 +64,7 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     if len(wanted) != len(indices):
         raise ValueError("indices must be distinct")
     out: dict[Mono, Fraction] = {}
-    for mono, coeff in poly.items():
+    for mono, coeff in poly.terms():
         p_part = {v: e for v, e in mono if v[0] == "p"}
         if set(p_part) != wanted or any(e != 1 for e in p_part.values()):
             continue

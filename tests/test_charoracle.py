@@ -11,6 +11,7 @@ from symchar.charoracle import (
     normalized_character_general,
 )
 from symchar.diagrams import conjugate, partitions, partitions_up_to
+from symchar.stanley import stanley_character_poly
 
 
 def centralizer_order(mu):
@@ -110,6 +111,16 @@ def test_normalized_character_general():
     assert normalized_character_general((2, 2), (2,)) == 0
     # k > n
     assert normalized_character_general((2, 1), (2, 2)) == 0
+
+
+@pytest.mark.parametrize("cycle_type, pi", [((3, 2), (2, 3, 1, 5, 4)), ((2, 1), (2, 1, 3))])
+def test_normalized_character_general_deep_two_row(cycle_type, pi):
+    # 1,320 boxes: the padded cycle type has over 1,300 parts 1, which end at
+    # the dimension instead of one recursion level each
+    a, b = 800, 520
+    want = stanley_character_poly(pi, 2).evaluate(
+        {("p", 1): 1, ("p", 2): 1, ("q", 1): a, ("q", 2): b})
+    assert normalized_character_general((a, b), cycle_type) == want
 
 
 def test_sigma2_of_square():

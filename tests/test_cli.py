@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from symchar import charoracle, verify
 from symchar.cli import main
@@ -103,6 +104,20 @@ def test_cumulants_rational_multirect(capsys):
     doc = json.loads(out)
     assert doc["S"]["2"] == "3/4"
     assert doc["routes_agree"] is True
+
+
+def test_cumulants_large_max_k_homogeneity(capsys):
+    # R_k(2 lam) = 2^k R_k(lam), with (6,6,4,4,2,2) the 2-dilation of (3,2,1)
+    code, out, _ = run(capsys, "cumulants", "--lambda", "3,2,1", "--max-k", "40", "--json")
+    assert code == 0
+    small = json.loads(out)["R"]
+    code, out, _ = run(capsys, "cumulants", "--lambda", "6,6,4,4,2,2", "--max-k", "40",
+                       "--json")
+    assert code == 0
+    big = json.loads(out)["R"]
+    assert sorted(map(int, small)) == list(range(2, 41))
+    for k in range(2, 41):
+        assert Fraction(big[str(k)]) == 2 ** k * Fraction(small[str(k)])
 
 
 def test_cumulants_usage_errors(capsys):

@@ -1,12 +1,12 @@
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
 from symchar.charoracle import normalized_character
 from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
 from symchar.functionals import (
-    _compositions_ge2,
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
     free_cumulant_multirect,
@@ -16,6 +16,7 @@ from symchar.functionals import (
     s_functional_boxes,
     s_functional_frobenius,
     s_functional_multirect,
+    s_functional_multirect_symbolic,
     s_vector,
     scale_homogeneity_check,
     unit_box_integral,
@@ -64,10 +65,54 @@ def test_s_multirect_matches_boxes():
         assert s_functional_multirect(m, k) == s_functional_boxes((3, 1, 1), k)
 
 
-def test_compositions_ge2():
+def _s_multirect_by_powers(r, k):
+    # the block corner form expanded by RatPoly powers, term by term
+    total = RatPoly.zero()
+    y_prev = RatPoly.zero()
+    for i in range(1, r + 1):
+        y_next = y_prev + RatPoly.variable(("p", i))
+        qi = RatPoly.variable(("q", i))
+        total = total + ((qi - y_prev) ** k - (qi - y_next) ** k
+                         - (-y_prev) ** k + (-y_next) ** k)
+        y_prev = y_next
+    return total * Fraction(1, k)
+
+
+def test_s_multirect_symbolic_matches_power_expansion():
+    for r in range(1, 5):
+        for k in range(2, 9):
+            assert str(s_functional_multirect_symbolic(r, k)) == str(_s_multirect_by_powers(r, k))
+
+
+def _compositions_ge2(total):
+    # ordered tuples of integers >= 2 summing to total
+    if total == 0:
+        yield ()
+    for first in range(2, total + 1):
+        for tail in _compositions_ge2(total - first):
+            yield (first,) + tail
+
+
+def _r_by_composition_sum(s_values, k):
+    # R_k = sum over compositions (j_1..j_l) of k, parts >= 2, of
+    # (1-k)^(l-1)/l! S_{j_1}...S_{j_l}
+    total = 0
+    for comp in _compositions_ge2(k):
+        term = Fraction((1 - k) ** (len(comp) - 1), factorial(len(comp)))
+        for j in comp:
+            term = term * s_values[j]
+        total = total + term
+    return total
+
+
+def test_power_series_r_matches_composition_sum():
     assert sorted(_compositions_ge2(6)) == [(2, 2, 2), (2, 4), (3, 3), (4, 2), (6,)]
-    assert list(_compositions_ge2(2)) == [(2,)]
-    assert list(_compositions_ge2(3)) == [(3,)]
+    for rows in partitions_up_to(8):
+        svals = s_vector(rows, 14)
+        for k in range(2, 15):
+            assert free_cumulant_from_s(svals, k) == _r_by_composition_sum(svals, k)
+    for k in range(2, 13):
+        assert r_in_terms_of_s(k) == _r_by_composition_sum({j: S(j) for j in range(2, k + 1)}, k)
 
 
 def test_free_cumulant_low_orders_symbolic():
@@ -84,8 +129,12 @@ def test_free_cumulant_from_s_examples():
     # K_3 evaluation closes the loop with the character oracle
     assert free_cumulant_from_s(svals, 4) + free_cumulant_from_s(svals, 2) == \
         normalized_character((2, 1), 3)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="missing S_4 value"):
         free_cumulant_from_s({2: Fraction(3)}, 4)
+    # no composition of k into parts >= 2 uses S_{k-1}
+    svals = s_vector((4, 3, 1), 6)
+    del svals[5]
+    assert free_cumulant_from_s(svals, 6) == r_vector((4, 3, 1), 6)[6]
 
 
 def test_free_cumulant_by_interpolation_examples():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchar import perms
 from symchar.charoracle import normalized_character
 from symchar.diagrams import partitions, partitions_up_to
-from symchar.functionals import r_vector, s_vector
+from symchar.functionals import free_cumulant_from_s, r_in_terms_of_s, r_vector, s_vector
 from symchar.kerov import (
     KerovTriple,
     candidate_triples,
@@ -93,9 +95,39 @@ def test_s_in_terms_of_r_low_orders():
     assert table[4] == R(4) + Fraction(3, 2) * R(2) ** 2
 
 
-def test_s_in_terms_of_r_round_trip():
-    from symchar.functionals import r_in_terms_of_s
+def _s_by_triangular_inversion(k_max):
+    # R_k = S_k + (products of S_j, j <= k - 2), solved for S_k order by order
+    inv = {}
+    for k in range(2, k_max + 1):
+        lower = r_in_terms_of_s(k) - S(k)
+        inv[k] = R(k) - lower.substitute({("S", j): inv[j] for j in range(2, k - 1)})
+    return inv
 
+
+def test_s_in_terms_of_r_matches_triangular_inversion():
+    assert s_in_terms_of_r(12) == _s_by_triangular_inversion(12)
+
+
+def _partition_from_parts(parts):
+    rows, total = [], 0
+    for part in parts:
+        if total + part > 30:
+            break
+        rows.append(part)
+        total += part
+    return tuple(sorted(rows, reverse=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=30).map(_partition_from_parts),
+       st.integers(2, 16))
+def test_s_in_terms_of_r_inverts_r_from_s(rows, k):
+    svals = s_vector(rows, k)
+    rvals = {j: free_cumulant_from_s(svals, j) for j in range(2, k + 1)}
+    assert s_in_terms_of_r(k)[k].evaluate({("R", j): v for j, v in rvals.items()}) == svals[k]
+
+
+def test_s_in_terms_of_r_round_trip():
     table = s_in_terms_of_r(10)
     for k in range(2, 11):
         back = r_in_terms_of_s(k).substitute(
