@@ -5,6 +5,18 @@ border strip whose length is the largest remaining part of mu, with sign
 (-1)^height.  Dimensions come from the hook length formula.  The normalized
 character Sigma_k multiplies the character ratio on the class (k, 1^{n-k})
 by the falling factorial n(n-1)...(n-k+1) and is 0 for k > n.
+
+normalized_character works on the beta-set beta_i = lam_i + r - i instead.  A
+k-strip removal moves one beta_i to beta_i - k, and dim lam = n! Delta(beta) /
+prod_i beta_i! with Delta(beta) = prod_{i<j} (beta_i - beta_j), so in the ratio
+of dimensions only beta_i! and the factors of Delta with index i change:
+
+    Sigma_k(lam) = sum_i beta_i (beta_i-1) ... (beta_i-k+1)
+                   prod_{j != i} (beta_i - k - beta_j) / (beta_i - beta_j).
+
+The unsorted product carries the sign (-1)^height; a term is 0 when beta_i < k
+or beta_i - k is another beta_j.  The strip recursion and hook dimension serve
+normalized_character_general, which stays an independent route to Sigma_k.
 """
 
 from __future__ import annotations
@@ -114,20 +126,25 @@ def _falling(n: int, k: int) -> int:
 
 
 def normalized_character(rows: Partition, k: int) -> Fraction:
-    """Sigma_k: n(n-1)...(n-k+1) * chi^rows((k, 1^{n-k})) / dim, 0 if k > n.
-
-    The class (k, 1^{n-k}) needs a single border-strip removal; what remains
-    is the identity class, where the character equals the dimension.
-    """
+    """Sigma_k = n(n-1)...(n-k+1) chi^rows((k, 1^{n-k})) / dim rows, 0 if k > n,
+    by the beta-set sum in integers, with one Fraction built at the end."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = check_partition(rows)
-    n = sum(rows)
-    if k > n:
+    if k > sum(rows):
         return Fraction(0)
-    chi = sum((-1) ** height * dimension(smaller)
-              for smaller, height in _strip_removals(rows, k))
-    return Fraction(_falling(n, k) * chi, dimension(rows))
+    beta = [x + len(rows) - 1 - i for i, x in enumerate(rows)]
+    num, den = 0, 1
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        term_num, term_den = _falling(b, k), 1
+        for c in beta:
+            if c != b:
+                term_num *= b - k - c
+                term_den *= b - c
+        num, den = num * term_den + term_num * den, den * term_den
+    return Fraction(num, den)
 
 
 def normalized_character_general(rows: Partition, pi_type: Sequence[int]) -> Fraction:

@@ -11,7 +11,7 @@ import json
 import sys
 
 from symchar import charoracle, functionals, kerov, stanley, verify
-from symchar.diagrams import MultiRect, parse_partition
+from symchar.diagrams import MultiRect, frobenius, parse_partition
 from symchar.ratpoly import RatPoly
 
 POLY_K_MAX = 8
@@ -106,37 +106,24 @@ def _cmd_character(args) -> int:
 def _cumulant_rows(rows, multirect, k_max):
     """Rows (k, S_k, R_k) plus route-agreement flags, computing every route
     that is cheap at the given size."""
-    table = []
-    agree = True
     if multirect is not None and multirect.is_integral():
         rows = multirect.to_partition()
     if rows is not None:
         svals = functionals.s_vector(rows, k_max)
-        fc = None
-        if rows:
-            from symchar.diagrams import frobenius
-            fc = frobenius(rows)
-        n = sum(rows)
-        for k in range(2, k_max + 1):
-            s_val = svals[k]
-            if fc is not None and functionals.s_functional_frobenius(fc, k) != s_val:
-                agree = False
-            r_val = functionals.free_cumulant_from_s(svals, k)
-            if n <= 6 and k <= 5:
-                if functionals.free_cumulant_by_interpolation(rows, k) != r_val:
-                    agree = False
-            if multirect is not None and k <= 6:
-                if functionals.free_cumulant_multirect(multirect, k) != r_val:
-                    agree = False
-            table.append((k, s_val, r_val))
-        return table, agree
-    svals = {k: functionals.s_functional_multirect(multirect, k)
-             for k in range(2, k_max + 1)}
-    for k in range(2, k_max + 1):
+        fc = frobenius(rows)
+        agree = all(functionals.s_functional_frobenius(fc, k) == s for k, s in svals.items())
+    else:
+        svals = {k: functionals.s_functional_multirect(multirect, k)
+                 for k in range(2, k_max + 1)}
+        agree = True
+    table = []
+    for k, s_val in svals.items():
         r_val = functionals.free_cumulant_from_s(svals, k)
-        if k <= 6 and functionals.free_cumulant_multirect(multirect, k) != r_val:
-            agree = False
-        table.append((k, svals[k], r_val))
+        if rows is not None and sum(rows) <= 6 and k <= 5:
+            agree = agree and functionals.free_cumulant_by_interpolation(rows, k) == r_val
+        if multirect is not None and k <= 6:
+            agree = agree and functionals.free_cumulant_multirect(multirect, k) == r_val
+        table.append((k, s_val, r_val))
     return table, agree
 
 
@@ -182,6 +169,10 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value in (("--max-n", args.max_n), ("--max-k", args.max_k)):
+        if value < 1:
+            print(f"symchar verify: error: {flag} must be >= 1", file=sys.stderr)
+            return 1
     results = verify.run_checks(args.max_n, args.max_k)
     failed = [r for r in results if not r.passed]
     if args.json:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]
@@ -59,26 +60,29 @@ def dilate(rows: Partition, s: int) -> Partition:
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, parts bounded by max_part, largest-first order."""
+    """All partitions of n, parts bounded by max_part, largest-first order:
+    drop the trailing 1s, lower the last part to v, refill greedily with v."""
     if max_part is None:
         max_part = n
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    parts, v, freed = [], min(n, max_part), n
+    while v >= 1:
+        q, rem = divmod(freed, v)
+        parts += [v] * q + ([rem] if rem else [])
+        yield tuple(parts)
+        freed = 0
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        v = parts.pop() - 1 if parts else 0
+        freed += v + 1
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
     """All nonempty partitions with 1 <= |lam| <= n."""
     for m in range(1, n + 1):
         yield from partitions(m)
-
-
-def box_regions(rows: Partition) -> list[tuple[int, int]]:
-    """Lower-left corners (x, y) of the unit boxes [x,x+1] x [y,y+1]."""
-    return [(j - 1, i - 1) for i, r in enumerate(rows, 1) for j in range(1, r + 1)]
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,21 @@ class FrobeniusCoords:
     B: tuple[Fraction, ...]
 
     def box_count(self) -> Fraction:
-        return sum(self.A, Fraction(0)) + sum(self.B, Fraction(0))
+        den = lcm(*(x.denominator for x in self.A + self.B))
+        return Fraction(sum(x.numerator * (den // x.denominator) for x in self.A + self.B), den)
 
 
 def frobenius(rows: Partition) -> FrobeniusCoords:
     rows = check_partition(rows)
-    conj = conjugate(rows)
-    d = sum(1 for i in range(len(rows)) if rows[i] >= i + 1)
-    half = Fraction(1, 2)
-    A = tuple(Fraction(rows[i] - (i + 1)) + half for i in range(d))
-    B = tuple(Fraction(conj[i] - (i + 1)) + half for i in range(d))
-    return FrobeniusCoords(A, B)
+    A, B, height = [], [], len(rows)
+    for i, r in enumerate(rows):
+        if r <= i:
+            break
+        while rows[height - 1] <= i:
+            height -= 1
+        A.append(Fraction(2 * (r - i) - 1, 2))
+        B.append(Fraction(2 * (height - i) - 1, 2))
+    return FrobeniusCoords(tuple(A), tuple(B))
 
 
 def _parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -138,6 +146,10 @@ class MultiRect:
 
     def box_count(self) -> Fraction:
         return sum((a * b for a, b in zip(self.p, self.q)), Fraction(0))
+
+    def assignment(self) -> dict:
+        """The values of the block variables: p_i -> height, q_i -> width."""
+        return {(v, i): x for i, pq in enumerate(zip(self.p, self.q), 1) for v, x in zip("pq", pq)}
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.p + self.q)

@@ -2,11 +2,12 @@
 available through several independent computation routes.
 
 S_k is (k-1) times the integral of contents^{k-2} over the diagram; it can
-be evaluated box by box, from shifted Frobenius coordinates, or symbolically
-on a multirectangular diagram.  R_k is obtained from the S-values by
-truncated power-series composition (inverted in closed form by
-kerov.s_in_terms_of_r), as the leading coefficient of the dilated normalized
-character, or by the minimal-factorization sum on multirectangular diagrams.
+be evaluated by box integrals grouped by content, from shifted Frobenius
+coordinates in doubled integers, or symbolically on a multirectangular
+diagram.  R_k is obtained from the S-values by truncated power-series
+composition (inverted in closed form by kerov.s_in_terms_of_r), as the
+leading coefficient of the dilated normalized character, or by the
+minimal-factorization sum on multirectangular diagrams.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Mapping
 
 from symchar import perms
@@ -25,41 +26,26 @@ from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partit
 from symchar.ratpoly import RatPoly, interpolate_univariate
 
 
-def unit_box_integral(d: int, m: int) -> Fraction:
-    """Exact integral of (x - y)^m over a unit box whose lower-left corner
-    has contents d (corner at x - y = d)."""
-    if m < 0:
-        raise ValueError("power must be >= 0")
-    return Fraction(
-        (d + 1) ** (m + 2) - 2 * d ** (m + 2) + (d - 1) ** (m + 2),
-        (m + 1) * (m + 2),
-    )
-
-
 def s_functional_boxes(rows: Partition, k: int) -> Fraction:
-    """S_k by summing exact box integrals of contents^{k-2}."""
+    """S_k by exact box integrals of contents^{k-2}, grouped by content: a box
+    of content d contributes ((d+1)^k - 2 d^k + (d-1)^k) / k to S_k."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    rows = check_partition(rows)
-    total = 0
-    for i, r in enumerate(rows, 1):
-        for j in range(1, r + 1):
-            d = j - i
-            total += (d + 1) ** k - 2 * d ** k + (d - 1) ** k
-    return Fraction(total, k)
+    return s_vector(rows, k)[k]
 
 
 def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     """S_k = sum_i integral_{-1/2}^{1/2} (A_i+z)^{k-1} - (-B_i-z)^{k-1} dz,
-    integrated exactly."""
+    in doubled integers: k 2^k S_k = sum_i (u_i+1)^k - (u_i-1)^k + (-v_i-1)^k -
+    (-v_i+1)^k for u_i = 2 A_i, v_i = 2 B_i, summed over the integers Q u_i +- Q,
+    Q v_i +- Q and divided by Q^k, Q the common denominator of the coordinates."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for a, b in zip(fc.A, fc.B):
-        total += (a + half) ** k - (a - half) ** k
-        total += (-b - half) ** k - (-b + half) ** k
-    return total / k
+    den = lcm(*(x.denominator for x in fc.A + fc.B))
+    u = [2 * x.numerator * (den // x.denominator) for x in fc.A + fc.B]
+    total = sum((x + den) ** k - (x - den) ** k for x in u[:len(fc.A)])
+    total += sum((-x - den) ** k - (den - x) ** k for x in u[len(fc.A):])
+    return Fraction(total, k * (2 * den) ** k)
 
 
 @lru_cache(maxsize=None)
@@ -99,16 +85,22 @@ def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
         if k < 2:
             raise ValueError("k must be >= 2")
         return Fraction(0)
-    assignment = {}
-    for i, (pi, qi) in enumerate(zip(m.p, m.q), 1):
-        assignment[("p", i)] = pi
-        assignment[("q", i)] = qi
-    return s_functional_multirect_symbolic(len(m.p), k).evaluate(assignment)
+    return s_functional_multirect_symbolic(len(m.p), k).evaluate(m.assignment())
 
 
 def s_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
-    """S_k for 2 <= k <= k_max as a map."""
-    return {k: s_functional_boxes(rows, k) for k in range(2, k_max + 1)}
+    """S_k for 2 <= k <= k_max as a map: the sum of s_functional_boxes over one
+    tally of boxes per content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
+    tally = Counter()
+    for i, r in enumerate(check_partition(rows), 1):
+        tally.update(range(1 - i, r + 1 - i))
+    powers = {d: d * d for d in range(min(tally, default=0) - 1, max(tally, default=0) + 2)}
+    out = {}
+    for k in range(2, k_max + 1):
+        out[k] = Fraction(sum(m * (powers[d + 1] - 2 * powers[d] + powers[d - 1])
+                              for d, m in tally.items()), k)
+        powers = {d: p * d for d, p in powers.items()}
+    return out
 
 
 def _power_coefficients(v: Mapping[int, object], k: int) -> list:
@@ -136,13 +128,23 @@ def free_cumulant_from_s(s_values: Mapping[int, object], k: int):
     where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
     j_1+...+j_l = k of parts >= 2; the truncated powers of S(z) compute all
     of them in O(k^3) products.  Values may be Fractions or RatPoly, so the
-    same formula yields the symbolic expansion.
+    same formula yields the symbolic expansion.  Fractions and ints are first
+    scaled by the lcm D of their denominators: [z^k] S(z)^l = c_l / D^l with c_l
+    taken of the integers D S_j, over one denominator L! D^L, L = k // 2.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    for j in (*range(2, k - 1), k):
+    read = (*range(2, k - 1), k)
+    for j in read:
         if j not in s_values:
             raise KeyError(f"missing S_{j} value")
+    if all(isinstance(s_values[j], (int, Fraction)) for j in read):
+        den = lcm(*(s_values[j].denominator for j in read))
+        ints = {j: s_values[j].numerator * (den // s_values[j].denominator) for j in read}
+        top = k // 2
+        total = sum((1 - k) ** (l - 1) * (factorial(top) // factorial(l)) * den ** (top - l) * c
+                    for l, c in enumerate(_power_coefficients(ints, k), 1))
+        return Fraction(total, factorial(top) * den ** top)
     return sum(Fraction((1 - k) ** (l - 1), factorial(l)) * c
                for l, c in enumerate(_power_coefficients(s_values, k), 1))
 
@@ -215,11 +217,7 @@ def free_cumulant_multirect(m: MultiRect, k: int) -> Fraction:
         if k < 2:
             raise ValueError("k must be >= 2")
         return Fraction(0)
-    assignment = {}
-    for i, (pi, qi) in enumerate(zip(m.p, m.q), 1):
-        assignment[("p", i)] = pi
-        assignment[("q", i)] = qi
-    return free_cumulant_multirect_symbolic(len(m.p), k).evaluate(assignment)
+    return free_cumulant_multirect_symbolic(len(m.p), k).evaluate(m.assignment())
 
 
 def scale_homogeneity_check(rows: Partition, k: int, s: int) -> bool:
@@ -227,10 +225,8 @@ def scale_homogeneity_check(rows: Partition, k: int, s: int) -> bool:
     hold exactly."""
     if s < 1:
         raise ValueError("dilation factor must be >= 1")
-    rows = check_partition(rows)
-    big = dilate(rows, s)
-    if s_functional_boxes(big, k) != Fraction(s) ** k * s_functional_boxes(rows, k):
-        return False
-    r_small = free_cumulant_from_s(s_vector(rows, k), k)
-    r_big = free_cumulant_from_s(s_vector(big, k), k)
-    return r_big == Fraction(s) ** k * r_small
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    small, big = s_vector(rows, k), s_vector(dilate(rows, s), k)
+    return (big[k] == s ** k * small[k]
+            and free_cumulant_from_s(big, k) == s ** k * free_cumulant_from_s(small, k))

@@ -131,11 +131,7 @@ def check_stanley_character_vs_oracle(max_k: int, max_r: int, max_entry: int):
                 for m in _integral_multirects(max_entry, r):
                     if len(m.p) != r:
                         continue
-                    assign = {}
-                    for i in range(1, r + 1):
-                        assign[("p", i)] = m.p[i - 1]
-                        assign[("q", i)] = m.q[i - 1]
-                    got = poly.evaluate(assign)
+                    got = poly.evaluate(m.assignment())
                     want = charoracle.normalized_character_general(m.to_partition(), ptype)
                     if got != want:
                         return False, f"pi={pi} p={m.p} q={m.q}: {got} != {want}"

@@ -95,12 +95,15 @@ def test_normalized_character_examples():
 
 
 def test_normalized_matches_full_recursion():
-    # the strip-plus-hook evaluation equals the pure recursion on cycles
-    for rows in partitions_up_to(8):
-        n = sum(rows)
-        for k in range(1, n + 1):
-            assert normalized_character(rows, k) == \
-                normalized_character_general(rows, (k,))
+    # the beta-set sum equals the strip recursion over hook dimensions
+    for n in range(13):
+        for rows in partitions(n):
+            for k in range(1, n + 3):
+                assert normalized_character(rows, k) == \
+                    normalized_character_general(rows, (k,))
+    for k in range(1, 9):
+        assert normalized_character((800, 520), k) == \
+            normalized_character_general((800, 520), (k,))
 
 
 def test_normalized_character_general():

@@ -135,10 +135,13 @@ def test_unknown_and_missing_arguments(capsys):
     assert run(capsys, "poly")[0] == 1
 
 
-def test_verify_empty_report(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "0")
-    assert code == 0
-    assert out == ""
+def test_verify_rejects_non_positive_sizes(capsys):
+    for flag, value in (("--max-n", "-1"), ("--max-n", "0"), ("--max-k", "0")):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "verify", flag, value, *json_flag)
+            assert code == 1
+            assert out == ""
+            assert err == f"symchar verify: error: {flag} must be >= 1\n"
 
 
 def test_verify_small_bounds_pass(capsys):

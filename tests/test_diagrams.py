@@ -5,7 +5,6 @@ import pytest
 from symchar import diagrams
 from symchar.diagrams import (
     MultiRect,
-    box_regions,
     check_partition,
     conjugate,
     dilate,
@@ -37,6 +36,23 @@ def test_partition_counts():
     for rows in partitions(7):
         check_partition(rows)
         assert sum(rows) == 7
+
+
+def _partitions_recursive(n, max_part):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_recursive(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_match_recursive_reference():
+    for n in range(21):
+        for max_part in range(n + 2):
+            assert list(partitions(n, max_part)) == list(_partitions_recursive(n, max_part))
+        assert list(partitions(n)) == list(_partitions_recursive(n, n))
+    assert list(partitions(3, 0)) == []
 
 
 def test_dilate_examples():
@@ -72,6 +88,9 @@ def test_frobenius_examples():
     assert fc.A == (Fraction(1, 2),)
     assert fc.B == (Fraction(1, 2),)
     assert frobenius(()) == diagrams.FrobeniusCoords((), ())
+    assert frobenius(()).box_count() == 0
+    mixed = diagrams.FrobeniusCoords((Fraction(1, 3), Fraction(2)), (Fraction(1, 2), Fraction(3, 4)))
+    assert mixed.box_count() == Fraction(1, 3) + 2 + Fraction(1, 2) + Fraction(3, 4)
 
 
 def test_frobenius_box_count_identity_exhaustive():
@@ -79,13 +98,6 @@ def test_frobenius_box_count_identity_exhaustive():
     for n in range(1, 41):
         for rows in partitions(n):
             assert frobenius(rows).box_count() == n
-
-
-def test_box_regions():
-    assert box_regions((1,)) == [(0, 0)]
-    assert len(box_regions((2, 1))) == 3
-    assert len(box_regions((4, 3, 1))) == 8
-    assert box_regions(()) == []
 
 
 def test_multirect_to_partition():

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from symchar.charoracle import normalized_character
-from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
+from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
@@ -19,17 +19,64 @@ from symchar.functionals import (
     s_functional_multirect_symbolic,
     s_vector,
     scale_homogeneity_check,
-    unit_box_integral,
 )
 from symchar.ratpoly import RatPoly, S, dilation_var
 
 
-def test_unit_box_integrals():
-    # integrals of (x-y)^2 over the three boxes of (2,1): 1/6, 7/6, 7/6
-    assert unit_box_integral(0, 2) == Fraction(1, 6)
-    assert unit_box_integral(1, 2) == Fraction(7, 6)
-    assert unit_box_integral(-1, 2) == Fraction(7, 6)
-    assert unit_box_integral(0, 0) == 1  # plain area
+def test_single_box_s_functionals():
+    # S_k = (k-1) * integral of contents^(k-2): the integrals of (x-y)^2 over
+    # the boxes of contents 0, 1 and -1 are 1/6, 7/6 and 7/6
+    assert s_functional_boxes((1,), 2) == 1  # plain area
+    assert s_functional_boxes((1,), 4) == 3 * Fraction(1, 6)
+    assert s_functional_boxes((2,), 4) - s_functional_boxes((1,), 4) == 3 * Fraction(7, 6)
+    assert s_functional_boxes((1, 1), 4) - s_functional_boxes((1,), 4) == 3 * Fraction(7, 6)
+    assert s_functional_boxes((2, 1), 4) == 3 * (Fraction(1, 6) + 2 * Fraction(7, 6))
+
+
+def test_content_tally_counts_boxes():
+    # at k = 2 every box adds (d+1)^2 - 2 d^2 + (d-1)^2 = 2, so S_2 = sum_d m_d
+    for rows, n in [((1,), 1), ((2, 1), 3), ((4, 3, 1), 8), ((), 0)]:
+        assert s_vector(rows, 2) == {2: n}
+    for rows in partitions_up_to(8):
+        assert s_vector(rows, 2)[2] == sum(rows)
+
+
+def _s_by_boxes(rows, k):
+    # one exact box integral per box, contents d = j - i
+    total = 0
+    for i, r in enumerate(rows, 1):
+        for j in range(1, r + 1):
+            d = j - i
+            total += (d + 1) ** k - 2 * d ** k + (d - 1) ** k
+    return Fraction(total, k)
+
+
+def test_s_vector_matches_per_box_sum():
+    shapes = [rows for n in range(13) for rows in partitions(n)]
+    big = (49, 45, 45, 40, 38, 33, 33, 30, 28, 27, 25, 22, 22, 20, 18, 17, 15, 13,
+           12, 10, 9, 9, 8, 7, 5, 5, 4, 3, 2, 2, 2, 1, 1)
+    assert sum(big) == 600
+    for rows in shapes + [big]:
+        assert s_vector(rows, 16) == {k: _s_by_boxes(rows, k) for k in range(2, 17)}
+
+
+def _s_by_half_shifts(fc, k):
+    half = Fraction(1, 2)
+    total = Fraction(0)
+    for a, b in zip(fc.A, fc.B):
+        total += (a + half) ** k - (a - half) ** k
+        total += (-b - half) ** k - (-b + half) ** k
+    return total / k
+
+
+def test_s_functional_frobenius_rational_coordinates():
+    cases = [((Fraction(1, 3),), (Fraction(5, 7),)),
+             ((Fraction(9, 4), Fraction(1, 6)), (Fraction(3), Fraction(2, 5))),
+             ((Fraction(7, 2), Fraction(5)), (Fraction(5, 2), Fraction(-1, 3)))]
+    for A, B in cases:
+        fc = FrobeniusCoords(A, B)
+        for k in range(2, 12):
+            assert s_functional_frobenius(fc, k) == _s_by_half_shifts(fc, k)
 
 
 def test_s_functional_boxes_examples():
@@ -113,6 +160,17 @@ def test_power_series_r_matches_composition_sum():
             assert free_cumulant_from_s(svals, k) == _r_by_composition_sum(svals, k)
     for k in range(2, 13):
         assert r_in_terms_of_s(k) == _r_by_composition_sum({j: S(j) for j in range(2, k + 1)}, k)
+
+
+def test_free_cumulant_from_s_rational_matches_symbolic():
+    # denominators 13..23 exceed every k, so D S_j carries real scaling
+    shapes = [MultiRect((Fraction(1, 13),), (Fraction(5, 17),)),
+              MultiRect((Fraction(2, 19), Fraction(3, 23)), (Fraction(7, 13), Fraction(2, 17)))]
+    for m in shapes:
+        svals = {j: s_functional_multirect(m, j) for j in range(2, 13)}
+        for k in range(2, 13):
+            want = r_in_terms_of_s(k).evaluate({("S", j): svals[j] for j in range(2, k + 1)})
+            assert free_cumulant_from_s(svals, k) == want
 
 
 def test_free_cumulant_low_orders_symbolic():
