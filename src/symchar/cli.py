@@ -11,10 +11,11 @@ import json
 import sys
 
 from symchar import charoracle, functionals, kerov, stanley, verify
-from symchar.diagrams import MultiRect, frobenius, parse_partition
+from symchar.diagrams import MultiRect, parse_partition
 from symchar.ratpoly import RatPoly
 
 POLY_K_MAX = 8
+CUMULANTS_K_MAX = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,27 +105,20 @@ def _cmd_character(args) -> int:
 
 
 def _cumulant_rows(rows, multirect, k_max):
-    """Rows (k, S_k, R_k) plus route-agreement flags, computing every route
-    that is cheap at the given size."""
-    if multirect is not None and multirect.is_integral():
-        rows = multirect.to_partition()
-    if rows is not None:
-        svals = functionals.s_vector(rows, k_max)
-        fc = frobenius(rows)
-        agree = all(functionals.s_functional_frobenius(fc, k) == s for k, s in svals.items())
-    else:
-        svals = {k: functionals.s_functional_multirect(multirect, k)
-                 for k in range(2, k_max + 1)}
-        agree = True
-    table = []
-    for k, s_val in svals.items():
-        r_val = functionals.free_cumulant_from_s(svals, k)
-        if rows is not None and sum(rows) <= 6 and k <= 5:
-            agree = agree and functionals.free_cumulant_by_interpolation(rows, k) == r_val
-        if multirect is not None and k <= 6:
-            agree = agree and functionals.free_cumulant_multirect(multirect, k) == r_val
-        table.append((k, s_val, r_val))
-    return table, agree
+    """Rows (k, S_k, R_k) plus whether the verify checks that are cheap at
+    this size agree with them."""
+    svals = functionals.s_vector(rows if multirect is None else multirect, k_max)
+    table = [(k, s, functionals.free_cumulant_from_s(svals, k)) for k, s in svals.items()]
+    if multirect is not None:
+        rows = multirect.to_partition() if multirect.is_integral() else None
+    diagrams = [] if rows is None else [rows]
+    checks = (
+        verify.check_s_box_vs_frobenius(diagrams, k_max),
+        verify.check_r_composition_vs_interpolation(
+            [d for d in diagrams if sum(d) <= 6], min(k_max, 5)),
+        verify.check_r_multirect([] if multirect is None else [multirect], min(k_max, 6)),
+    )
+    return table, all(passed for passed, _ in checks)
 
 
 def _cmd_cumulants(args) -> int:
@@ -136,8 +130,9 @@ def _cmd_cumulants(args) -> int:
         print("symchar cumulants: error: give either --lambda or --p/--q",
               file=sys.stderr)
         return 1
-    if args.max_k < 2:
-        print("symchar cumulants: error: --max-k must be >= 2", file=sys.stderr)
+    if not 2 <= args.max_k <= CUMULANTS_K_MAX:
+        bound = ">= 2" if args.max_k < 2 else f"between 2 and {CUMULANTS_K_MAX}"
+        print(f"symchar cumulants: error: --max-k must be {bound}", file=sys.stderr)
         return 1
     try:
         rows = parse_partition(args.lam) if args.lam is not None else None

@@ -23,7 +23,7 @@ from typing import Mapping
 from symchar import perms
 from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partition, dilate
-from symchar.ratpoly import RatPoly, interpolate_univariate
+from symchar.ratpoly import CACHE_SIZE, RatPoly, interpolate_univariate
 
 
 def s_functional_boxes(rows: Partition, k: int) -> Fraction:
@@ -48,7 +48,7 @@ def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     return Fraction(total, k * (2 * den) ** k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
     """S_k of the r-block diagram p x q as an exact polynomial in the p_i, q_i.
 
@@ -88,11 +88,16 @@ def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
     return s_functional_multirect_symbolic(len(m.p), k).evaluate(m.assignment())
 
 
-def s_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
-    """S_k for 2 <= k <= k_max as a map: the sum of s_functional_boxes over one
-    tally of boxes per content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
+def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
+    """S_k for 2 <= k <= k_max as a map: s_functional_multirect on a
+    non-integral MultiRect, else the sum of s_functional_boxes over one tally
+    of boxes per content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
+    if isinstance(diagram, MultiRect):
+        if not diagram.is_integral():
+            return {k: s_functional_multirect(diagram, k) for k in range(2, k_max + 1)}
+        diagram = diagram.to_partition()
     tally = Counter()
-    for i, r in enumerate(check_partition(rows), 1):
+    for i, r in enumerate(check_partition(diagram), 1):
         tally.update(range(1 - i, r + 1 - i))
     powers = {d: d * d for d in range(min(tally, default=0) - 1, max(tally, default=0) + 2)}
     out = {}
@@ -149,7 +154,7 @@ def free_cumulant_from_s(s_values: Mapping[int, object], k: int):
                for l, c in enumerate(_power_coefficients(s_values, k), 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def r_in_terms_of_s(k: int) -> RatPoly:
     """R_k as an exact polynomial in the variables S_2 .. S_k."""
     return free_cumulant_from_s({j: RatPoly.variable(("S", j)) for j in range(2, k + 1)}, k)
@@ -199,7 +204,7 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int,
                     for exps, c in accum.items() if c})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def free_cumulant_multirect_symbolic(r: int, k: int) -> RatPoly:
     """R_k of the r-block diagram p x q by the minimal-factorization sum:
     pairs s1 o s2 = (1,...,k-1) in S(k-1) with |C(s1)| + |C(s2)| = k,

@@ -25,7 +25,7 @@ from symchar import perms
 from symchar.charoracle import _falling
 from symchar.functionals import _power_coefficients
 from symchar.perms import Perm
-from symchar.ratpoly import RatPoly
+from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
 
 
@@ -212,7 +212,7 @@ def candidate_triples(k: int) -> Iterator[KerovTriple]:
             yield KerovTriple(s1, s2, colors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def kerov_polynomial_by_counting(k: int) -> RatPoly:
     """K_k with Sigma_k = K_k(R_2, R_3, ...): each triple passing the
     marriage condition adds 1 to the coefficient of prod_i R_i^{s_i}, where
@@ -234,7 +234,7 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
     return RatPoly({m: Fraction(c) for m, c in terms.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def s_in_terms_of_r(k_max: int) -> dict[int, RatPoly]:
     """S_j as a polynomial in R_2..R_j for 2 <= j <= k_max, by the closed
     form that Lagrange inversion gives for the composition formula:

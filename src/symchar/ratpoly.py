@@ -19,6 +19,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+CACHE_SIZE = 256  # entries kept by each lru_cache of polynomial results
+
 Var = tuple[str, int]
 Mono = tuple[tuple[Var, int], ...]
 

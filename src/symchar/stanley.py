@@ -26,7 +26,7 @@ from symchar import perms
 from symchar.charoracle import _falling
 from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
-from symchar.ratpoly import Mono, RatPoly, Var
+from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
 
 
 def stanley_character_poly(pi: Perm, r: int) -> RatPoly:
@@ -125,7 +125,7 @@ def j_monomial_multisets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def j_polynomial_by_counting(k: int) -> RatPoly:
     """J_k with Sigma_k = J_k(S_2, S_3, ...), generated by counting triples
     (s1, s2, labeling).

@@ -1,9 +1,9 @@
-"""Cross-route and identity checks, parameterized by size bounds.
+"""Cross-route and identity checks, over size bounds or given diagrams.
 
 Every check recomputes the same quantity through at least two independent
 routes and demands exact equality.  Each function returns (passed, detail)
 with the first counterexample in detail on failure; run_checks assembles the
-set used by the command-line verifier.
+set used by the command-line verifier.  No other module compares two routes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb, factorial
 
 from symchar import charoracle, functionals, kerov, perms, stanley
 from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
-from symchar.ratpoly import RatPoly
+from symchar.ratpoly import RatPoly, interpolate_univariate
 
 
 @dataclass(frozen=True)
@@ -26,18 +26,18 @@ class CheckResult:
     detail: str = ""
 
 
-def check_s_box_vs_frobenius(max_n: int, max_k: int):
-    for rows in partitions_up_to(max_n):
+def check_s_box_vs_frobenius(diagrams, max_k: int):
+    for rows in diagrams:
         fc = frobenius(rows)
-        for k in range(2, max_k + 1):
-            a = functionals.s_functional_boxes(rows, k)
+        for k, a in functionals.s_vector(rows, max_k).items():
             b = functionals.s_functional_frobenius(fc, k)
             if a != b:
                 return False, f"lam={rows} k={k}: boxes {a} != frobenius {b}"
     return True, ""
 
 
-def _integral_multirects(max_entry: int, max_r: int, n_cap: int | None = None):
+def integral_multirects(max_entry: int, max_r: int, n_cap: int | None = None):
+    """Integral MultiRects by block count 1..max_r, entries 1..max_entry, <= n_cap boxes."""
     for r in range(1, max_r + 1):
         for p in iproduct(range(1, max_entry + 1), repeat=r):
             for q in iproduct(range(1, max_entry + 1), repeat=r):
@@ -50,7 +50,7 @@ def _integral_multirects(max_entry: int, max_r: int, n_cap: int | None = None):
 
 
 def check_s_multirect_vs_boxes(max_entry: int, max_r: int, max_k: int, n_cap: int | None = None):
-    for m in _integral_multirects(max_entry, max_r, n_cap):
+    for m in integral_multirects(max_entry, max_r, n_cap):
         rows = m.to_partition()
         for k in range(2, max_k + 1):
             a = functionals.s_functional_multirect(m, k)
@@ -60,8 +60,8 @@ def check_s_multirect_vs_boxes(max_entry: int, max_r: int, max_k: int, n_cap: in
     return True, ""
 
 
-def check_r_composition_vs_interpolation(max_n: int, max_k: int):
-    for rows in partitions_up_to(max_n):
+def check_r_composition_vs_interpolation(diagrams, max_k: int):
+    for rows in diagrams:
         svals = functionals.s_vector(rows, max_k)
         for k in range(2, max_k + 1):
             a = functionals.free_cumulant_from_s(svals, k)
@@ -71,10 +71,9 @@ def check_r_composition_vs_interpolation(max_n: int, max_k: int):
     return True, ""
 
 
-def check_r_multirect(max_entry: int, max_r: int, max_k: int, n_cap: int | None = None):
-    for m in _integral_multirects(max_entry, max_r, n_cap):
-        rows = m.to_partition()
-        svals = functionals.s_vector(rows, max_k)
+def check_r_multirect(multirects, max_k: int):
+    for m in multirects:
+        svals = functionals.s_vector(m, max_k)
         for k in range(2, max_k + 1):
             a = functionals.free_cumulant_multirect(m, k)
             b = functionals.free_cumulant_from_s(svals, k)
@@ -126,15 +125,12 @@ def check_stanley_character_vs_oracle(max_k: int, max_r: int, max_entry: int):
     for k in range(1, max_k + 1):
         for pi in perms.all_perms(k):
             ptype = perms.cycle_type(pi)
-            for r in range(1, max_r + 1):
-                poly = stanley.stanley_character_poly(pi, r)
-                for m in _integral_multirects(max_entry, r):
-                    if len(m.p) != r:
-                        continue
-                    got = poly.evaluate(m.assignment())
-                    want = charoracle.normalized_character_general(m.to_partition(), ptype)
-                    if got != want:
-                        return False, f"pi={pi} p={m.p} q={m.q}: {got} != {want}"
+            polys = {r: stanley.stanley_character_poly(pi, r) for r in range(1, max_r + 1)}
+            for m in integral_multirects(max_entry, max_r):
+                got = polys[len(m.p)].evaluate(m.assignment())
+                want = charoracle.normalized_character_general(m.to_partition(), ptype)
+                if got != want:
+                    return False, f"pi={pi} p={m.p} q={m.q}: {got} != {want}"
     return True, ""
 
 
@@ -263,7 +259,6 @@ def check_dilation_polynomiality(max_n: int, max_k: int):
             points += [(s, charoracle.normalized_character(dilate(rows, s), k - 1))
                        for s in range(1, k + 2)]
             try:
-                from symchar.ratpoly import interpolate_univariate
                 interpolate_univariate(points, k)
             except ValueError as exc:
                 return False, f"lam={rows} k={k}: {exc}"
@@ -283,13 +278,13 @@ def run_checks(max_n: int, max_k: int) -> list[CheckResult]:
 
     kk = max_k
     record(f"s-box-vs-frobenius[n<={max_n},k<={kk}]",
-           check_s_box_vs_frobenius, max_n, kk)
+           check_s_box_vs_frobenius, partitions_up_to(max_n), kk)
     record(f"s-multirect-vs-boxes[entries<=2,r<=2,k<={kk}]",
            check_s_multirect_vs_boxes, 2, 2, kk, max_n)
     record(f"r-composition-vs-interpolation[n<={min(max_n, 6)},k<={min(kk, 5)}]",
-           check_r_composition_vs_interpolation, min(max_n, 6), min(kk, 5))
+           check_r_composition_vs_interpolation, partitions_up_to(min(max_n, 6)), min(kk, 5))
     record(f"r-multirect-vs-composition[entries<=2,r<=2,k<={min(kk, 5)}]",
-           check_r_multirect, 2, 2, min(kk, 5), max_n)
+           check_r_multirect, integral_multirects(2, 2, max_n), min(kk, 5))
     record(f"kerov-count-vs-conversion[k<={min(kk, 6)}]",
            check_kerov_count_vs_conversion, min(kk, 6))
     record(f"j-count-vs-stanley[k<={min(kk, 5)}]",

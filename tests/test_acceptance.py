@@ -6,20 +6,9 @@ per-criterion lines.
 """
 
 import time
-from itertools import product
 
-from symchar import kerov, perms, stanley, verify
-from symchar.charoracle import normalized_character
-from symchar.diagrams import MultiRect, frobenius, partitions_up_to
-from symchar.functionals import (
-    free_cumulant_by_interpolation,
-    free_cumulant_from_s,
-    free_cumulant_multirect,
-    r_vector,
-    s_functional_boxes,
-    s_functional_frobenius,
-    s_vector,
-)
+from symchar import kerov, stanley, verify
+from symchar.diagrams import partitions_up_to
 from symchar.ratpoly import RatPoly
 
 K_KNOWN = {
@@ -84,22 +73,10 @@ def test_criterion_2_j_polynomials():
 
 def test_criterion_3_oracle_consistency():
     start = time.monotonic()
-    bad = []
-    for rows in partitions_up_to(8):
-        n = sum(rows)
-        svals = s_vector(rows, n + 1)
-        rvals = r_vector(rows, n + 1)
-        s_assign = {("S", j): v for j, v in svals.items()}
-        r_assign = {("R", j): v for j, v in rvals.items()}
-        for k in range(1, n + 1):
-            sigma = normalized_character(rows, k)
-            if kerov.kerov_polynomial_by_counting(k).evaluate(r_assign) != sigma:
-                bad.append(("K", rows, k))
-            if stanley.j_polynomial_by_counting(k).evaluate(s_assign) != sigma:
-                bad.append(("J", rows, k))
+    ok, detail = verify.check_eval_vs_oracle(max_n=8, max_k=8)
     elapsed = time.monotonic() - start
     _report(3, "K_k and J_k evaluate to Sigma_k for all |lam| <= 8, k <= |lam| (<2min)",
-            not bad and elapsed < 120.0, f"bad={bad[:3]} elapsed={elapsed:.2f}s")
+            ok and elapsed < 120.0, f"{detail} elapsed={elapsed:.2f}s")
 
 
 def test_criterion_4_stanley_formula():
@@ -111,62 +88,31 @@ def test_criterion_4_stanley_formula():
             ok and elapsed < 300.0, f"{detail} elapsed={elapsed:.2f}s")
 
 
+def _failures(*results):
+    return [detail for ok, detail in results if not ok]
+
+
 def test_criterion_5_route_equalities():
-    failures = []
-    for rows in partitions_up_to(8):
-        fc = frobenius(rows)
-        for k in range(2, 9):
-            if s_functional_boxes(rows, k) != s_functional_frobenius(fc, k):
-                failures.append(("S", rows, k))
-    for rows in partitions_up_to(6):
-        svals = s_vector(rows, 5)
-        for k in range(2, 6):
-            if free_cumulant_from_s(svals, k) != free_cumulant_by_interpolation(rows, k):
-                failures.append(("R-interp", rows, k))
-    for r in (1, 2):
-        for p in product(range(1, 4), repeat=r):
-            for q in product(range(1, 4), repeat=r):
-                if any(q[i] < q[i + 1] for i in range(r - 1)):
-                    continue
-                m = MultiRect(p, q)
-                svals = s_vector(m.to_partition(), 5)
-                for k in range(2, 6):
-                    if free_cumulant_multirect(m, k) != free_cumulant_from_s(svals, k):
-                        failures.append(("R-multirect", p, q, k))
-    for k in range(1, 8):
-        if kerov.kerov_polynomial_by_counting(k) != kerov.kerov_polynomial_by_conversion(k):
-            failures.append(("K", k))
+    failures = _failures(
+        verify.check_s_box_vs_frobenius(partitions_up_to(8), 8),
+        verify.check_r_composition_vs_interpolation(partitions_up_to(6), 5),
+        verify.check_r_multirect(verify.integral_multirects(3, 2), 5),
+        verify.check_kerov_count_vs_conversion(7),
+    )
     _report(5, "route equalities: S boxes=Frobenius (n<=8,k<=8); R composition="
                "interpolation (n<=6,k<=5) = multirectangular; K count=conversion (k<=7)",
             not failures, f"failures={failures[:3]}")
 
 
 def test_criterion_6_identity_suite():
-    failures = []
-    for k in range(2, 8):
-        for s in range(1, k + 2):
-            if not stanley.check_s_coefficient_formula(k, tuple(range(1, s + 1))):
-                failures.append(("coeff-formula", k, s))
-            if not stanley.check_s_coefficient_formula(k, tuple(range(2, s + 2))):
-                failures.append(("coeff-formula-shift", k, s))
-    for k in range(1, 7):
-        poly = stanley.stanley_character_poly(perms.canonical_cycle(k), 2)
-        for j1 in range(2, 6):
-            for j2 in range(j1, 8 - j1):
-                if not stanley.check_bracket_identity(poly, j1, j2):
-                    failures.append(("bracket-identity", k, j1, j2))
-    ok, detail = verify.check_order_does_not_matter(6, 3)
-    if not ok:
-        failures.append(("order", detail))
-    ok, detail = verify.check_rands_truncation(10)
-    if not ok:
-        failures.append(("truncation", detail))
-    ok, detail = verify.check_graded_leading_term(7)
-    if not ok:
-        failures.append(("graded", detail))
-    ok, detail = verify.check_homogeneity(36, 6)
-    if not ok:
-        failures.append(("homogeneity", detail))
+    failures = _failures(
+        verify.check_s_coefficient_formula(7),
+        verify.check_bracket_identity(6, 7),
+        verify.check_order_does_not_matter(6, 3),
+        verify.check_rands_truncation(10),
+        verify.check_graded_leading_term(7),
+        verify.check_homogeneity(36, 6),
+    )
     _report(6, "identity suite: coefficient formula (k<=7), bracket identity "
                "(k<=6), order independence (l<=3), quadratic truncation (k<=10), "
                "graded leading term (k<=7), dilation homogeneity (n*s^2<=36)",
@@ -175,18 +121,11 @@ def test_criterion_6_identity_suite():
 
 def test_criterion_7_marriage_equivalence():
     start = time.monotonic()
-    bad = None
-    for k in range(1, 7):
-        for t in kerov.candidate_triples(k):
-            if kerov.marriage_condition(t) != kerov.marriage_condition_flow(t):
-                bad = t
-                break
-        if bad:
-            break
+    ok, detail = verify.check_marriage_equivalence(6)
     elapsed = time.monotonic() - start
     _report(7, "subset marriage check agrees with transportation flow check "
                "on every candidate triple, k<=6 (<10min)",
-            bad is None and elapsed < 600.0, f"bad={bad} elapsed={elapsed:.2f}s")
+            ok and elapsed < 600.0, f"{detail} elapsed={elapsed:.2f}s")
 
 
 def test_criterion_8_combinatorial_sanity():

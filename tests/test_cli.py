@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
-from symchar import charoracle, verify
+import pytest
+
+from symchar import charoracle, functionals, verify
 from symchar.cli import main
 from symchar.ratpoly import RatPoly
 
@@ -128,6 +130,33 @@ def test_cumulants_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "cumulants", "--p", "1")
     assert code == 1
+    for max_k in ("101", "400"):
+        assert run(capsys, "cumulants", "--lambda", "2,1", "--max-k", max_k) == (
+            1, "", "symchar cumulants: error: --max-k must be between 2 and 100\n")
+    assert run(capsys, "cumulants", "--lambda", "2,1", "--max-k", "1")[0] == 1
+    code, out, _ = run(capsys, "cumulants", "--lambda", "2,1", "--max-k", "100")
+    assert code == 0
+    assert len(out.splitlines()) == 100
+
+
+@pytest.mark.parametrize("route, diagram", [
+    ("s_functional_frobenius", ("--lambda", "2,1")),
+    ("free_cumulant_by_interpolation", ("--p", "1,2", "--q", "3,1")),
+    ("free_cumulant_multirect", ("--p", "1/2,3/2", "--q", "5/2,1")),
+])
+def test_cumulants_detects_route_fault(capsys, monkeypatch, route, diagram):
+    argv = ("cumulants", *diagram, "--max-k", "5")
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+    code, doc, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    original = getattr(functionals, route)
+    monkeypatch.setattr(functionals, route,
+                        lambda x, k: original(x, k) + (1 if k == 3 else 0))
+    assert run(capsys, *argv) == (2, table, "route mismatch detected\n")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out) == {**json.loads(doc), "routes_agree": False}
 
 
 def test_unknown_and_missing_arguments(capsys):

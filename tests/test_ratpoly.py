@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symchar
 from symchar.charoracle import normalized_character
 from symchar.diagrams import dilate
 from symchar.ratpoly import (
@@ -185,3 +188,12 @@ def test_substitute_commutes_with_evaluate(f, g):
     direct = f.substitute({("S", 2): g}).evaluate(assign)
     composed = f.evaluate({**assign, ("S", 2): g.evaluate(assign)})
     assert direct == composed
+
+
+def test_every_cache_is_bounded():
+    caches = {id(obj): obj
+              for info in pkgutil.iter_modules(symchar.__path__)
+              for obj in vars(importlib.import_module(f"symchar.{info.name}")).values()
+              if hasattr(obj, "cache_info")}
+    assert len(caches) >= 6
+    assert all(fn.cache_info().maxsize is not None for fn in caches.values())

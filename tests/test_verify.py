@@ -1,0 +1,50 @@
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symchar import verify
+from symchar.diagrams import MultiRect
+
+
+def _partitions(n_max):
+    """Partitions of at most n_max boxes: the longest prefix of the drawn
+    parts that fits, sorted."""
+    def build(parts):
+        rows, total = [], 0
+        for part in parts:
+            if total + part > n_max:
+                break
+            rows.append(part)
+            total += part
+        return tuple(sorted(rows, reverse=True))
+    return st.lists(st.integers(1, n_max), max_size=n_max).map(build)
+
+
+_rational = st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))
+
+
+@st.composite
+def _multirects(draw):
+    r = draw(st.integers(1, 3))
+    p = draw(st.lists(_rational, min_size=r, max_size=r))
+    q = draw(st.lists(_rational, min_size=r, max_size=r))
+    return MultiRect(p, sorted(q, reverse=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_partitions(40), st.integers(2, 16))
+def test_s_box_vs_frobenius_random(rows, k):
+    assert verify.check_s_box_vs_frobenius([rows], k) == (True, "")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_partitions(20), st.integers(2, 6))
+def test_r_composition_vs_interpolation_random(rows, k):
+    assert verify.check_r_composition_vs_interpolation([rows], k) == (True, "")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_multirects(), st.integers(2, 6))
+def test_r_multirect_random(m, k):
+    assert verify.check_r_multirect([m], k) == (True, "")
