@@ -81,11 +81,21 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
 
 
 def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
-    if not m.p:
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        return Fraction(0)
-    return s_functional_multirect_symbolic(len(m.p), k).evaluate(m.assignment())
+    """S_k of a concrete multirectangle from the corner form of
+    s_functional_multirect_symbolic, k S_k = (-Y_r)^k +
+    sum_i (q_i-Y_{i-1})^k - (q_i-Y_i)^k, in the integers D q_i and D Y_i over
+    D^k, D the common denominator of the p_i and q_i: O(r) powers, no
+    polynomial."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    den = lcm(*(x.denominator for x in m.p + m.q))
+    y = total = 0
+    for p, q in zip(m.p, m.q):
+        width = q.numerator * (den // q.denominator)
+        total += (width - y) ** k
+        y += p.numerator * (den // p.denominator)
+        total -= (width - y) ** k
+    return Fraction(total + (-y) ** k, k * den ** k)
 
 
 def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:

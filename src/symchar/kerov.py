@@ -9,7 +9,7 @@ quadratic derivatives.
 
 Both counts run as folds over one pass of perms.factorization_patterns, so
 after that pass their cost scales with the number of distinct intersection
-patterns (4,198 at k = 9), not with the k! pairs.
+patterns (1,046 at k = 9), not with the k! pairs.
 """
 
 from __future__ import annotations

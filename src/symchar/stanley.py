@@ -9,7 +9,7 @@ sign(s1) * prod q_{phi1} * prod p_{phi2}.
 
 This sum and the J_k count run as folds over one pass of
 perms.factorization_patterns, so after that pass their cost scales with the
-number of distinct intersection patterns (312 at k = 7), not with the k!
+number of distinct intersection patterns (100 at k = 7), not with the k!
 pairs.
 """
 

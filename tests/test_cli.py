@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from symchar import charoracle, functionals, verify
 from symchar.cli import main
+from symchar.diagrams import MultiRect
 from symchar.ratpoly import RatPoly
 
 
@@ -120,6 +122,24 @@ def test_cumulants_large_max_k_homogeneity(capsys):
     assert sorted(map(int, small)) == list(range(2, 41))
     for k in range(2, 41):
         assert Fraction(big[str(k)]) == 2 ** k * Fraction(small[str(k)])
+
+
+def test_cumulants_rational_multirect_max_k_100(capsys):
+    # S_k comes from the corner form in O(r) per k, not from the O(k^3)-term
+    # symbolic polynomial; R_k from S is most of the remaining time.
+    start = time.monotonic()
+    code, out, _ = run(capsys, "cumulants", "--p", "1/2,3/2,5/3", "--q", "7/2,2,1",
+                       "--max-k", "100", "--json")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert elapsed < 60.0
+    doc = json.loads(out)
+    assert doc["routes_agree"] is True
+    assert sorted(map(int, doc["S"])) == sorted(map(int, doc["R"])) == list(range(2, 101))
+    m = MultiRect.from_strings("1/2,3/2,5/3", "7/2,2,1")
+    for k in range(2, 13):
+        want = functionals.s_functional_multirect_symbolic(3, k).evaluate(m.assignment())
+        assert Fraction(doc["S"][str(k)]) == want
 
 
 def test_cumulants_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -129,6 +130,21 @@ def test_s_multirect_symbolic_matches_power_expansion():
     for r in range(1, 5):
         for k in range(2, 9):
             assert str(s_functional_multirect_symbolic(r, k)) == str(_s_multirect_by_powers(r, k))
+
+
+def test_s_multirect_corner_form_matches_symbolic():
+    # 200 seeded random rational multirectangles, zero entries included
+    rng = random.Random(7)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        p = [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(r)]
+        q = sorted((Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(r)),
+                   reverse=True)
+        m = MultiRect(p, q)
+        for k in range(2, 13):
+            want = s_functional_multirect_symbolic(r, k).evaluate(m.assignment())
+            assert s_functional_multirect(m, k) == want
+        assert s_vector(m, 12) == {k: s_functional_multirect(m, k) for k in range(2, 13)}
 
 
 def _compositions_ge2(total):

@@ -1,9 +1,11 @@
+import functools
+import itertools
 from collections import Counter
 from math import comb, factorial
 
 import pytest
 
-from symchar import perms
+from symchar import functionals, kerov, perms, stanley, verify
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -122,14 +124,79 @@ def _patterns_by_brute_force(pi):
     return tally
 
 
-@pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 7)]
-                         + [(2, 3, 1, 5, 4)])
+def _canonical(tally):
+    """The tally with each pattern replaced by its least renumbering of the
+    s2-cycles: min over bijections of bit j to bit sigma[j] of the sorted masks."""
+    out = Counter()
+    for (m2, masks), n in tally.items():
+        relabeled = min(
+            tuple(sorted(sum(1 << sigma[j] for j in range(m2) if mask >> j & 1) for mask in masks))
+            for sigma in itertools.permutations(range(m2)))
+        out[m2, relabeled] += n
+    return out
+
+
+@pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 8)]
+                         + [(3, 5, 4, 2, 1), (2, 3, 1, 5, 4)])
 def test_factorization_patterns_match_brute_force(pi):
     got = perms.factorization_patterns(pi)
-    assert got == _patterns_by_brute_force(pi)
-    assert sum(got.values()) == factorial(len(pi))
+    assert _canonical(got) == _canonical(_patterns_by_brute_force(pi))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_factorization_patterns_total(k):
+    assert sum(perms.factorization_patterns(perms.canonical_cycle(k)).values()) == factorial(k)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_rotation_orbits_one_per_orbit(k):
+    cyc = [*range(1, k), 0]
+    inv = [k - 1, *range(k - 1)]
+    orbit_of = {}
+    for t in itertools.permutations(range(k)):
+        if t not in orbit_of:
+            orbit, u = set(), t
+            while u not in orbit:
+                orbit.add(u)
+                u = tuple(cyc[u[inv[x]]] for x in range(k))
+            for u in orbit:
+                orbit_of[u] = frozenset(orbit)
+    reps = list(perms.rotation_orbits(k))
+    assert len({orbit_of[t] for t, _ in reps}) == len(reps) == len(set(orbit_of.values()))
+    assert all(size == len(orbit_of[t]) for t, size in reps)
 
 
 def test_factorization_patterns_rejects_non_permutation():
     with pytest.raises(ValueError):
         perms.factorization_patterns((1, 1, 3))
+
+
+_brute_tally = functools.cache(_patterns_by_brute_force)
+
+
+def _clear_result_caches():
+    kerov.kerov_polynomial_by_counting.cache_clear()
+    stanley.j_polynomial_by_counting.cache_clear()
+    functionals.free_cumulant_multirect_symbolic.cache_clear()
+
+
+@pytest.mark.parametrize("fold", [
+    lambda k: kerov.kerov_polynomial_by_counting(k),
+    lambda k: stanley.j_polynomial_by_counting(k),
+    lambda k: [stanley.stanley_character_poly(perms.canonical_cycle(k), r) for r in (1, 2, 3)],
+    lambda k: [functionals.free_cumulant_multirect_symbolic(r, k + 1) for r in (1, 2, 3)],
+    lambda k: [kerov.kerov_quadratic_derivative(k, j1, j2)
+               for j1 in range(2, k + 1) for j2 in range(j1, k + 2)],
+    lambda k: verify.check_catalan_minimal_factorizations(k),
+], ids=["K", "J", "stanley", "multirect-R", "quadratic", "catalan"])
+def test_consumers_ignore_s2_cycle_numbering(fold, monkeypatch):
+    # Each fold gives the same value over the orbit tally as over the
+    # brute-force tally with the numbering of cycles(s2).
+    for k in range(1, 8):
+        _clear_result_caches()
+        orbit_value = fold(k)
+        _clear_result_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(perms, "factorization_patterns", _brute_tally)
+            assert fold(k) == orbit_value
+    _clear_result_caches()
