@@ -28,6 +28,7 @@ from symchar.functionals import (
     free_cumulant_multirect,
     r_in_terms_of_s,
     r_vector,
+    r_vector_from_s,
     s_functional_boxes,
     s_functional_frobenius,
     s_functional_multirect,
@@ -79,6 +80,7 @@ __all__ = [
     "partitions_up_to",
     "r_in_terms_of_s",
     "r_vector",
+    "r_vector_from_s",
     "s_functional_boxes",
     "s_functional_frobenius",
     "s_functional_multirect",

@@ -1,7 +1,9 @@
 """Command-line surface: generate character polynomials, evaluate normalized
 characters and cumulants, and run the verification suite.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error, 2 verification failure.  Every size
+an argument sets is bounded by LIMITS, so an accepted command finishes in a
+few seconds, and an oversize one exits 1 with a one-line message.
 """
 
 from __future__ import annotations
@@ -9,13 +11,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lcm
 
 from symchar import charoracle, functionals, kerov, stanley, verify
-from symchar.diagrams import MultiRect, parse_partition
+from symchar.diagrams import MultiRect, Partition, parse_partition
 from symchar.ratpoly import RatPoly
 
-POLY_K_MAX = 8
-CUMULANTS_K_MAX = 100
+# (command, argument) -> (least, largest) accepted value.  "boxes" bounds the
+# diagram of --lambda or --p/--q (see _diagram_size).
+LIMITS = {
+    ("poly", "--k"): (1, 8),
+    ("character", "--k"): (1, 10_000),
+    ("character", "boxes"): (0, 10_000),
+    ("cumulants", "--max-k"): (2, 100),
+    ("cumulants", "boxes"): (0, 10_000),
+    ("verify", "--max-n"): (1, 20),
+    ("verify", "--max-k"): (1, 20),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +85,35 @@ def _poly_for(k: int, basis: str, route: str) -> RatPoly:
         {("S", j): poly for j, poly in table.items()})
 
 
+def _diagram_size(diagram: Partition | MultiRect) -> int:
+    """The boxes of a partition.  A multirectangle is scaled by the common
+    denominator D of its entries, which makes it integral, and sized by the
+    largest of its boxes, rows and columns: a block of zero width or height
+    adds no boxes but still enters the integers of the S_k kernel."""
+    if not isinstance(diagram, MultiRect):
+        return sum(diagram)
+    den = lcm(*(x.denominator for x in diagram.p + diagram.q))
+    return int(max(den * den * diagram.box_count(), den * sum(diagram.p),
+                   den * max(diagram.q, default=0)))
+
+
+def _rejects(command: str, argument: str, value: int) -> bool:
+    """True, after a one-line message on stderr, if LIMITS rejects the value."""
+    low, high = LIMITS[command, argument]
+    if low <= value <= high:
+        return False
+    if argument == "boxes":
+        message = f"the diagram must have at most {high} boxes, rows and columns"
+    elif value < low:
+        message = f"{argument} must be >= {low}"
+    else:
+        message = f"{argument} must be between {low} and {high}"
+    print(f"symchar {command}: error: {message}", file=sys.stderr)
+    return True
+
+
 def _cmd_poly(args) -> int:
-    if not 1 <= args.k <= POLY_K_MAX:
-        print(f"symchar poly: error: --k must be between 1 and {POLY_K_MAX}",
-              file=sys.stderr)
+    if _rejects("poly", "--k", args.k):
         return 1
     poly = _poly_for(args.k, args.basis, args.route)
     if args.json:
@@ -92,8 +129,8 @@ def _cmd_character(args) -> int:
     except ValueError as exc:
         print(f"symchar character: error: {exc}", file=sys.stderr)
         return 1
-    if args.k < 1:
-        print("symchar character: error: --k must be >= 1", file=sys.stderr)
+    if _rejects("character", "--k", args.k) or _rejects(
+            "character", "boxes", _diagram_size(rows)):
         return 1
     value = charoracle.normalized_character(rows, args.k)
     if args.json:
@@ -108,7 +145,8 @@ def _cumulant_rows(rows, multirect, k_max):
     """Rows (k, S_k, R_k) plus whether the verify checks that are cheap at
     this size agree with them."""
     svals = functionals.s_vector(rows if multirect is None else multirect, k_max)
-    table = [(k, s, functionals.free_cumulant_from_s(svals, k)) for k, s in svals.items()]
+    rvals = functionals.r_vector_from_s(svals, k_max)
+    table = [(k, s, rvals[k]) for k, s in svals.items()]
     if multirect is not None:
         rows = multirect.to_partition() if multirect.is_integral() else None
     diagrams = [] if rows is None else [rows]
@@ -130,9 +168,7 @@ def _cmd_cumulants(args) -> int:
         print("symchar cumulants: error: give either --lambda or --p/--q",
               file=sys.stderr)
         return 1
-    if not 2 <= args.max_k <= CUMULANTS_K_MAX:
-        bound = ">= 2" if args.max_k < 2 else f"between 2 and {CUMULANTS_K_MAX}"
-        print(f"symchar cumulants: error: --max-k must be {bound}", file=sys.stderr)
+    if _rejects("cumulants", "--max-k", args.max_k):
         return 1
     try:
         rows = parse_partition(args.lam) if args.lam is not None else None
@@ -140,6 +176,8 @@ def _cmd_cumulants(args) -> int:
                      if args.p is not None else None)
     except ValueError as exc:
         print(f"symchar cumulants: error: {exc}", file=sys.stderr)
+        return 1
+    if _rejects("cumulants", "boxes", _diagram_size(rows if multirect is None else multirect)):
         return 1
     table, agree = _cumulant_rows(rows, multirect, args.max_k)
     if args.json:
@@ -164,10 +202,9 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag, value in (("--max-n", args.max_n), ("--max-k", args.max_k)):
-        if value < 1:
-            print(f"symchar verify: error: {flag} must be >= 1", file=sys.stderr)
-            return 1
+    if _rejects("verify", "--max-n", args.max_n) or _rejects(
+            "verify", "--max-k", args.max_k):
+        return 1
     results = verify.run_checks(args.max_n, args.max_k)
     failed = [r for r in results if not r.passed]
     if args.json:
@@ -187,6 +224,20 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Exact values can pass the int-to-str digit limit of
+    Python 3.10.7+, so it is lifted while the command runs; LIMITS keeps
+    every number to a size that prints in well under a second."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,7 @@ from typing import Mapping
 from symchar import perms
 from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partition, dilate
-from symchar.ratpoly import CACHE_SIZE, RatPoly, interpolate_univariate
+from symchar.ratpoly import CACHE_SIZE, RatPoly, _as_fraction, interpolate_univariate
 
 
 def s_functional_boxes(rows: Partition, k: int) -> Fraction:
@@ -77,7 +77,7 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
                 e = Counter(rest + (i,))
                 mono = tuple((("p", j), x) for j, x in sorted(e.items())) + ((("q", i), k - a),)
                 terms[mono] = Fraction(scale // prod(map(factorial, e.values())), k)
-    return RatPoly(terms)
+    return RatPoly._from_canonical(terms)
 
 
 def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
@@ -170,10 +170,37 @@ def r_in_terms_of_s(k: int) -> RatPoly:
     return free_cumulant_from_s({j: RatPoly.variable(("S", j)) for j in range(2, k + 1)}, k)
 
 
+def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
+    """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, by the
+    sum of free_cumulant_from_s over one set of truncated powers of S(z):
+    with D the lcm of the denominators and s_j = D S_j, the integer
+    coefficients c_(l,d) = [z^d] (sum_j s_j z^j)^l for d <= k_max give
+    R_k = sum_l (1-k)^(l-1) c_(l,k) / (l! D^l) over the one denominator
+    L! D^L, L = k_max // 2.  That is O(k_max^3) products in all, where
+    calling free_cumulant_from_s for each k costs O(k_max^4)."""
+    if k_max < 2:
+        return {}
+    for j in range(2, k_max + 1):
+        if j not in s_values:
+            raise KeyError(f"missing S_{j} value")
+    vals = [_as_fraction(s_values[j]) for j in range(2, k_max + 1)]
+    den = lcm(*(x.denominator for x in vals))
+    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
+    top = k_max // 2
+    acc = [0] * (k_max + 1)
+    power = ints  # c_(l,d) for d = 0..k_max, zero below 2l
+    for l in range(1, top + 1):
+        weight = factorial(top) // factorial(l) * den ** (top - l)
+        for k in range(2 * l, k_max + 1):
+            acc[k] += (1 - k) ** (l - 1) * weight * power[k]
+        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
+                                     for d in range(2 * l + 2, k_max + 1)]
+    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, k_max + 1)}
+
+
 def r_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
     """R_k for 2 <= k <= k_max, computed from the S-values."""
-    s_vals = s_vector(rows, k_max)
-    return {k: free_cumulant_from_s(s_vals, k) for k in range(2, k_max + 1)}
+    return r_vector_from_s(s_vector(rows, k_max), k_max)
 
 
 def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
@@ -210,8 +237,8 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int,
             for a in adj:
                 exps[r + max([phi2[j] for j in a])] += 1
             accum[tuple(exps)] += weight
-    return RatPoly({tuple((v, e) for v, e in zip(names, exps) if e): Fraction(c)
-                    for exps, c in accum.items() if c})
+    return RatPoly._from_canonical({tuple((v, e) for v, e in zip(names, exps) if e): Fraction(c)
+                                    for exps, c in accum.items() if c})
 
 
 @lru_cache(maxsize=CACHE_SIZE)

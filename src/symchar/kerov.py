@@ -231,7 +231,7 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
             if _strict_hall(counts, colors):
                 mono = tuple((("R", c), e) for c, e in sorted(Counter(colors).items()))
                 terms[mono] += mult
-    return RatPoly({m: Fraction(c) for m, c in terms.items()})
+    return RatPoly._from_canonical({m: Fraction(c) for m, c in terms.items()})
 
 
 @lru_cache(maxsize=CACHE_SIZE)

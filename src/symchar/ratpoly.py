@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 CACHE_SIZE = 256  # entries kept by each lru_cache of polynomial results
@@ -179,12 +180,12 @@ class RatPoly:
                 out[mono] = acc
             elif mono in out:
                 del out[mono]
-        return self._wrap(out)
+        return self._from_canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return self._wrap({m: -c for m, c in self._terms.items()})
+        return self._from_canonical({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "RatPoly":
         return self + (-other if isinstance(other, RatPoly) else RatPoly.const(-_as_fraction(other)))
@@ -197,7 +198,7 @@ class RatPoly:
             c = _as_fraction(other)
             if not c:
                 return RatPoly.zero()
-            return self._wrap({m: v * c for m, v in self._terms.items()})
+            return self._from_canonical({m: v * c for m, v in self._terms.items()})
         if not isinstance(other, RatPoly):
             return NotImplemented
         out: dict[Mono, Fraction] = {}
@@ -209,7 +210,7 @@ class RatPoly:
                     out[mono] = acc
                 elif mono in out:
                     del out[mono]
-        return self._wrap(out)
+        return self._from_canonical(out)
 
     __rmul__ = __mul__
 
@@ -226,7 +227,16 @@ class RatPoly:
         return result
 
     @classmethod
-    def _wrap(cls, terms: dict[Mono, Fraction]) -> "RatPoly":
+    def _from_canonical(cls, terms: dict[Mono, Fraction]) -> "RatPoly":
+        """The trusted constructor: adopts `terms` as is, without the
+        validation and normalization that RatPoly(...) does.
+
+        Every key must be a canonical monomial (variables made by make_var,
+        positive exponents, sorted by family rank and index, as
+        normalize_mono returns it), every value a non-zero Fraction, and the
+        dict must not be used by the caller afterwards.  Only symchar's own
+        builders, which produce such terms by construction, call it.
+        """
         poly = cls.__new__(cls)
         poly._terms = terms
         return poly
@@ -246,7 +256,7 @@ class RatPoly:
                     elif new in out:
                         del out[new]
                     break
-        return self._wrap(out)
+        return self._from_canonical(out)
 
     def derivative_at_zero(self, variables: Iterable[Var]) -> Fraction:
         """Iterated partial derivative, then every S- and R-family variable
@@ -267,18 +277,34 @@ class RatPoly:
         return result
 
     def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:
+        """The exact value at `assignment`, which must give every variable
+        that occurs.  Every key and value is validated, also the unused ones.
+
+        Integer kernel: with D the lcm of the denominators of the values
+        read and C that of the coefficients, a term c x^e of degree |e| is
+        (C c)(D x)^e D^(top-|e|) over C D^top, top the largest degree, so
+        the sum runs in integers and one Fraction is built at the end.
+        """
         values = {make_var(*v): _as_fraction(x) for v, x in assignment.items()}
-        missing = self.variables() - set(values)
+        used = self.variables()
+        missing = used - values.keys()
         if missing:
             names = ", ".join(sorted(var_name(v) for v in missing))
             raise KeyError(f"assignment missing variables: {names}")
-        total = Fraction(0)
+        den = lcm(*(values[v].denominator for v in used))
+        ints = {v: values[v].numerator * (den // values[v].denominator) for v in used}
+        cden = lcm(*(c.denominator for c in self._terms.values()))
+        by_degree: dict[int, int] = {}
         for mono, coeff in self._terms.items():
-            term = coeff
+            term = coeff.numerator * (cden // coeff.denominator)
+            degree = 0
             for var, exp in mono:
-                term *= values[var] ** exp
-            total += term
-        return total
+                term *= ints[var] ** exp
+                degree += exp
+            by_degree[degree] = by_degree.get(degree, 0) + term
+        top = max(by_degree, default=0)
+        total = sum(t * den ** (top - d) for d, t in by_degree.items())
+        return Fraction(total, cden * den ** top)
 
     def substitute(self, replacements: Mapping[Var, "RatPoly"]) -> "RatPoly":
         """Replace variables by polynomials; unmentioned variables persist."""
@@ -349,7 +375,7 @@ class RatPoly:
                 terms[key] = acc
             elif key in terms:
                 del terms[key]
-        return cls._wrap(terms)
+        return cls._from_canonical(terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,7 +395,7 @@ class RatPoly:
                 terms[mono] = acc
             elif mono in terms:
                 del terms[mono]
-        return cls._wrap(terms)
+        return cls._from_canonical(terms)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

@@ -153,7 +153,7 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     for key, total in by_multiset.items():
         mono = tuple((("S", j), e) for j, e in sorted(Counter(key).items()))
         terms[mono] = Fraction((-1) ** (len(key) - 1) * total, factorial(len(key)))
-    return RatPoly(terms)
+    return RatPoly._from_canonical(terms)
 
 
 def j_polynomial_via_stanley(k: int, r: int | None = None) -> RatPoly:
@@ -177,4 +177,4 @@ def j_polynomial_via_stanley(k: int, r: int | None = None) -> RatPoly:
             denom *= factorial(e)
         mono = tuple((("S", j), e) for j, e in sorted(mults.items()))
         terms[mono] = deriv / denom
-    return RatPoly(terms)
+    return RatPoly._from_canonical(terms)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -179,6 +180,60 @@ def test_cumulants_detects_route_fault(capsys, monkeypatch, route, diagram):
     assert json.loads(out) == {**json.loads(doc), "routes_agree": False}
 
 
+BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and columns\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("character", "--lambda", "2,1", "--k", "10001"),
+     "symchar character: error: --k must be between 1 and 10000\n"),
+    (("character", "--lambda", "2,1", "--k", "0"), "symchar character: error: --k must be >= 1\n"),
+    (("character", "--lambda", "1" * 51, "--k", "3"), "symchar character: " + BOXES_ERROR),
+    (("character", "--lambda", "5001,5000", "--k", "3"), "symchar character: " + BOXES_ERROR),
+    (("cumulants", "--lambda", "1" * 51, "--max-k", "100"), "symchar cumulants: " + BOXES_ERROR),
+    (("cumulants", "--p", "1000000000", "--q", "1"), "symchar cumulants: " + BOXES_ERROR),
+    (("cumulants", "--p", "101,0", "--q", "100,0"), "symchar cumulants: " + BOXES_ERROR),
+    # rational entries count at the grid of their common denominator
+    (("cumulants", "--p", "1/1000003", "--q", "1000033/7"), "symchar cumulants: " + BOXES_ERROR),
+    (("cumulants", "--p", "1/2,20001/2", "--q", "1,0"), "symchar cumulants: " + BOXES_ERROR),
+    (("poly", "--k", "0"), "symchar poly: error: --k must be >= 1\n"),
+    (("verify", "--max-n", "21"), "symchar verify: error: --max-n must be between 1 and 20\n"),
+    (("verify", "--max-k", "21"), "symchar verify: error: --max-k must be between 1 and 20\n"),
+])
+def test_oversize_input_exits_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", message)
+
+
+@pytest.fixture
+def digit_limit():
+    """The int-to-str digit limit of Python 3.10.7+, restored afterwards."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.10.7")
+    before = sys.get_int_max_str_digits()
+    yield before
+    sys.set_int_max_str_digits(before)
+
+
+def test_largest_inputs_print_exact_values(capsys, digit_limit):
+    # Sigma_2500 of (3000, 2000) has 8,000 digits, past the default limit of
+    # 4,300; main lifts it while the command runs and restores it after
+    code, out, _ = run(capsys, "character", "--lambda", "3000,2000", "--k", "2500")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == digit_limit
+    assert len(out) > 4300
+    sys.set_int_max_str_digits(0)  # to read the values back here
+    assert Fraction(out) == charoracle.normalized_character((3000, 2000), 2500)
+    code, out, _ = run(capsys, "character", "--lambda", "5000,5000", "--k", "10000")
+    assert code == 0
+    assert Fraction(out) == charoracle.normalized_character((5000, 5000), 10000)
+    code, out, _ = run(capsys, "cumulants", "--p", "1/100", "--q", "100", "--max-k", "100",
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["routes_agree"] is True
+    assert Fraction(doc["S"]["100"]) == functionals.s_functional_multirect(
+        MultiRect.from_strings("1/100", "100"), 100)
+
+
 def test_unknown_and_missing_arguments(capsys):
     assert run(capsys, "nonsense")[0] == 1
     assert run(capsys, "poly")[0] == 1
@@ -213,7 +268,6 @@ def test_verify_json(capsys):
 def test_outputs_deterministic_across_processes():
     # canonical ordering must not depend on per-process string hashing
     import subprocess
-    import sys
 
     cmd = [sys.executable, "-m", "symchar.cli", "poly", "--k", "5", "--json"]
     runs = {subprocess.run(cmd, capture_output=True, text=True, check=True).stdout

@@ -14,6 +14,7 @@ from symchar.functionals import (
     free_cumulant_multirect_symbolic,
     r_in_terms_of_s,
     r_vector,
+    r_vector_from_s,
     s_functional_boxes,
     s_functional_frobenius,
     s_functional_multirect,
@@ -187,6 +188,22 @@ def test_free_cumulant_from_s_rational_matches_symbolic():
         for k in range(2, 13):
             want = r_in_terms_of_s(k).evaluate({("S", j): svals[j] for j in range(2, k + 1)})
             assert free_cumulant_from_s(svals, k) == want
+
+
+def test_r_vector_from_s_matches_free_cumulant_from_s():
+    # one set of series powers for the whole table, per-k sums as reference
+    inputs = [s_vector(rows, 24) for rows in ((), (1,), (3, 2, 1), (7, 7, 4, 1))]
+    inputs.append(s_vector(MultiRect.from_strings("1/2,3/2,5/3", "7/2,2,1"), 24))
+    inputs.append({j: Fraction((-1) ** j * j, 7 + j) for j in range(2, 25)})
+    for svals in inputs:
+        for k_max in (2, 3, 4, 5, 24):
+            table = r_vector_from_s(svals, k_max)
+            assert table == {k: free_cumulant_from_s(svals, k) for k in range(2, k_max + 1)}
+    assert r_vector_from_s({}, 1) == {}
+    with pytest.raises(KeyError, match="missing S_3 value"):
+        r_vector_from_s({2: Fraction(1), 4: Fraction(1)}, 4)
+    with pytest.raises(TypeError):
+        r_vector_from_s({2: 0.5, 3: 0}, 3)
 
 
 def test_free_cumulant_low_orders_symbolic():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symchar
+from symchar import functionals, kerov, stanley
 from symchar.charoracle import normalized_character
 from symchar.diagrams import dilate
 from symchar.ratpoly import (
@@ -77,6 +78,13 @@ def test_evaluate():
     assert f.evaluate({("p", 1): 2, ("q", 1): 2}) == 0
     with pytest.raises(KeyError):
         S(2).evaluate({("S", 3): 1})
+    # the whole assignment is validated, also the variables that do not occur
+    with pytest.raises(TypeError):
+        S(2).evaluate({("S", 2): 1, ("S", 3): 0.5})
+    with pytest.raises(ValueError):
+        S(2).evaluate({("S", 2): 1, ("S", 1): 0})
+    with pytest.raises(KeyError, match="assignment missing variables: R2, S3"):
+        (S(3) * R(2) + S(2)).evaluate({("S", 2): 1})
 
 
 def test_substitute():
@@ -181,6 +189,34 @@ def test_serialization_round_trips_exactly(f):
     assert RatPoly.from_json(f.to_json()) == f
 
 
+def _evaluate_term_by_term(poly, values):
+    total = Fraction(0)
+    for mono, coeff in poly.terms():
+        term = coeff
+        for var, exp in mono:
+            term *= values[var] ** exp
+        total += term
+    return total
+
+
+value_st = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-7, max_value=7, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 25)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=poly_st, c=coeff_st, values=st.lists(value_st, min_size=len(VARS), max_size=len(VARS)))
+def test_evaluate_matches_term_by_term(f, c, values):
+    assign = dict(zip(VARS, values))
+    for poly in (f, f + c, RatPoly.const(c), RatPoly.zero()):
+        got = poly.evaluate(assign)
+        assert type(got) is Fraction
+        assert got == _evaluate_term_by_term(poly, assign)
+    assert RatPoly.zero().evaluate({}) == 0
+    assert RatPoly.const(c).evaluate({}) == c
+
+
 @settings(max_examples=40, deadline=None)
 @given(f=poly_st, g=poly_st)
 def test_substitute_commutes_with_evaluate(f, g):
@@ -197,3 +233,29 @@ def test_every_cache_is_bounded():
               if hasattr(obj, "cache_info")}
     assert len(caches) >= 6
     assert all(fn.cache_info().maxsize is not None for fn in caches.values())
+
+
+TRUSTED_SITES = {
+    "s_functional_multirect_symbolic": lambda: [
+        functionals.s_functional_multirect_symbolic(r, k)
+        for r in range(1, 5) for k in range(2, 10)],
+    "_multirect_factorization_sum": lambda: [
+        functionals.free_cumulant_multirect_symbolic(r, k)  # r = 4 at k = 9 takes 1.5 s
+        for r in range(1, 5) for k in range(2, 10 if r < 4 else 9)] + [
+        stanley.stanley_character_poly(pi, 2) for pi in ((2, 1, 4, 3), (2, 3, 1, 5, 4))],
+    "kerov_polynomial_by_counting": lambda: [
+        kerov.kerov_polynomial_by_counting(k) for k in range(1, 10)],
+    "j_polynomial_by_counting": lambda: [
+        stanley.j_polynomial_by_counting(k) for k in range(1, 9)],
+    "j_polynomial_via_stanley": lambda: [
+        stanley.j_polynomial_via_stanley(k) for k in range(1, 8)],
+}
+
+
+@pytest.mark.parametrize("site", sorted(TRUSTED_SITES))
+def test_trusted_constructor_sites_are_canonical(site):
+    # each site skips RatPoly(...) normalization; renormalizing its output
+    # must change nothing, and every coefficient is a non-zero Fraction
+    for poly in TRUSTED_SITES[site]():
+        assert RatPoly(dict(poly.terms())) == poly
+        assert all(type(c) is Fraction and c for _, c in poly.terms())
