@@ -134,9 +134,10 @@ def normalized_character(rows: Partition, k: int) -> Fraction:
     if k > sum(rows):
         return Fraction(0)
     beta = [x + len(rows) - 1 - i for i, x in enumerate(rows)]
+    present = set(beta)
     num, den = 0, 1
     for b in beta:
-        if b < k or b - k in beta:
+        if b < k or b - k in present:
             continue
         term_num, term_den = _falling(b, k), 1
         for c in beta:

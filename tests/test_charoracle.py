@@ -106,6 +106,14 @@ def test_normalized_matches_full_recursion():
             normalized_character_general((800, 520), (k,))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 1999])
+def test_normalized_character_column_vs_row(k):
+    # Sigma_k of the conjugate is (-1)^(k-1) Sigma_k; the column has 2,000
+    # beta numbers, the row one
+    n = 2000
+    assert normalized_character((1,) * n, k) == (-1) ** (k - 1) * normalized_character((n,), k)
+
+
 def test_normalized_character_general():
     # identity on k points: the falling factorial itself
     assert normalized_character_general((2, 2), (1, 1)) == 4 * 3

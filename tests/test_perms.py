@@ -166,6 +166,62 @@ def test_rotation_orbits_one_per_orbit(k):
     assert all(size == len(orbit_of[t]) for t, size in reps)
 
 
+def _orbit_tally_reference(k):
+    """The raw tally of a k-cycle by a second implementation of the pass: a
+    generator walk over the necklaces, one frame per position, and a leaf
+    that builds s1 and the labels afresh for each visit."""
+    t, d, free = [0] * k, [0] * k, [True] * k
+
+    def walk(n, p):
+        if n == k:
+            if k % p == 0:
+                yield tuple(t), p
+            return
+        low = d[n - p] if n else 0
+        for dn in range(low, k):
+            x = (n + dn) % k
+            if free[x]:
+                free[x] = False
+                t[n], d[n] = x, dn
+                yield from walk(n + 1, p if n and dn == low else n + 1)
+                free[x] = True
+
+    target = [*range(1, k), 0]
+    tally = Counter()
+    for rep, weight in walk(0, 1):
+        s1 = [target[v] for v in rep]
+        bit = [0] * k
+        m2 = 0
+        for start in range(k):
+            if not bit[start]:
+                b = 1 << m2
+                m2 += 1
+                x = start
+                while not bit[x]:
+                    bit[x] = b
+                    x = rep[x]
+        masks = []
+        for start in range(k):
+            if bit[start]:
+                mask, x = 0, start
+                while bit[x]:
+                    mask |= bit[x]
+                    bit[x] = 0
+                    x = s1[x]
+                masks.append(mask)
+        tally[m2, tuple(sorted(masks))] += weight
+    return tally
+
+
+@pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 10)]
+                         + [(3, 5, 6, 2, 1, 4)])
+def test_factorization_patterns_raw_tally(pi):
+    # keys and weights as they are, not only up to renumbering the s2-cycles;
+    # any k-cycle is tallied as the canonical one
+    assert perms.cycle_count(pi) == 1
+    assert perms.factorization_patterns(pi) == _orbit_tally_reference(len(pi))
+
+
 def test_factorization_patterns_rejects_non_permutation():
     with pytest.raises(ValueError):
         perms.factorization_patterns((1, 1, 3))

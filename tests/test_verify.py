@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symchar import verify
-from symchar.diagrams import MultiRect
+from symchar.charoracle import normalized_character, normalized_character_general
+from symchar.diagrams import MultiRect, conjugate
 
 
 def _partitions(n_max):
@@ -48,3 +49,14 @@ def test_r_composition_vs_interpolation_random(rows, k):
 @given(_multirects(), st.integers(2, 6))
 def test_r_multirect_random(m, k):
     assert verify.check_r_multirect([m], k) == (True, "")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_partitions(30), st.data())
+def test_sigma_beta_set_vs_mn_random(rows, data):
+    # the beta-set sum against the strip recursion over hook dimensions, and
+    # Sigma_k(lam') = (-1)^(k-1) Sigma_k(lam)
+    k = data.draw(st.integers(1, sum(rows) + 1))
+    sigma = normalized_character(rows, k)
+    assert sigma == normalized_character_general(rows, (k,))
+    assert normalized_character(conjugate(rows), k) == (-1) ** (k - 1) * sigma
