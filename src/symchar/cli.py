@@ -4,27 +4,33 @@ characters and cumulants, and run the verification suite.
 Exit codes: 0 success, 1 usage error, 2 verification failure.  Every size
 an argument sets is bounded by LIMITS, so an accepted command finishes in a
 few seconds, and an oversize one exits 1 with a one-line message.
+
+Each command imports the library modules it calls when it runs, so that a
+fresh process loads no more of the package than its command uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import lcm
+from typing import TYPE_CHECKING
 
-from symchar import charoracle, functionals, kerov, stanley, verify
 from symchar.diagrams import MultiRect, Partition, parse_partition
-from symchar.ratpoly import RatPoly
+
+if TYPE_CHECKING:
+    from symchar.ratpoly import RatPoly
 
 # (command, argument) -> (least, largest) accepted value.  "boxes" bounds the
-# diagram of --lambda or --p/--q (see _diagram_size).
+# diagram of --lambda or --p/--q (see _diagram_size), and "denominator" the
+# common denominator of the entries of --p/--q.
 LIMITS = {
     ("poly", "--k"): (1, 8),
     ("character", "--k"): (1, 10_000),
     ("character", "boxes"): (0, 10_000),
     ("cumulants", "--max-k"): (2, 100),
     ("cumulants", "boxes"): (0, 10_000),
+    ("cumulants", "denominator"): (1, 10_000),
     ("verify", "--max-n"): (1, 20),
     ("verify", "--max-k"): (1, 20),
 }
@@ -69,6 +75,8 @@ def build_parser() -> _Parser:
 
 
 def _poly_for(k: int, basis: str, route: str) -> RatPoly:
+    from symchar import functionals, kerov, stanley
+
     if basis == "S":
         if route == "count":
             return stanley.j_polynomial_by_counting(k)
@@ -85,6 +93,11 @@ def _poly_for(k: int, basis: str, route: str) -> RatPoly:
         {("S", j): poly for j, poly in table.items()})
 
 
+def _denominator(multirect: MultiRect) -> int:
+    """The common denominator of the entries of a multirectangle."""
+    return lcm(*(x.denominator for x in multirect.p + multirect.q))
+
+
 def _diagram_size(diagram: Partition | MultiRect) -> int:
     """The boxes of a partition.  A multirectangle is scaled by the common
     denominator D of its entries, which makes it integral, and sized by the
@@ -92,7 +105,7 @@ def _diagram_size(diagram: Partition | MultiRect) -> int:
     adds no boxes but still enters the integers of the S_k kernel."""
     if not isinstance(diagram, MultiRect):
         return sum(diagram)
-    den = lcm(*(x.denominator for x in diagram.p + diagram.q))
+    den = _denominator(diagram)
     return int(max(den * den * diagram.box_count(), den * sum(diagram.p),
                    den * max(diagram.q, default=0)))
 
@@ -104,6 +117,8 @@ def _rejects(command: str, argument: str, value: int) -> bool:
         return False
     if argument == "boxes":
         message = f"the diagram must have at most {high} boxes, rows and columns"
+    elif argument == "denominator":
+        message = f"the entries of --p/--q must have a common denominator of at most {high}"
     elif value < low:
         message = f"{argument} must be >= {low}"
     else:
@@ -132,8 +147,12 @@ def _cmd_character(args) -> int:
     if _rejects("character", "--k", args.k) or _rejects(
             "character", "boxes", _diagram_size(rows)):
         return 1
+    from symchar import charoracle
+
     value = charoracle.normalized_character(rows, args.k)
     if args.json:
+        import json
+
         print(json.dumps({"lambda": list(rows), "k": args.k, "value": str(value)},
                          sort_keys=True))
     else:
@@ -144,6 +163,8 @@ def _cmd_character(args) -> int:
 def _cumulant_rows(rows, multirect, k_max):
     """Rows (k, S_k, R_k) plus whether the verify checks that are cheap at
     this size agree with them."""
+    from symchar import functionals, verify
+
     svals = functionals.s_vector(rows if multirect is None else multirect, k_max)
     rvals = functionals.r_vector_from_s(svals, k_max)
     table = [(k, s, rvals[k]) for k, s in svals.items()]
@@ -179,8 +200,12 @@ def _cmd_cumulants(args) -> int:
         return 1
     if _rejects("cumulants", "boxes", _diagram_size(rows if multirect is None else multirect)):
         return 1
+    if multirect is not None and _rejects("cumulants", "denominator", _denominator(multirect)):
+        return 1
     table, agree = _cumulant_rows(rows, multirect, args.max_k)
     if args.json:
+        import json
+
         doc = {
             "S": {str(k): str(s) for k, s, _ in table},
             "R": {str(k): str(r) for k, _, r in table},
@@ -205,9 +230,13 @@ def _cmd_verify(args) -> int:
     if _rejects("verify", "--max-n", args.max_n) or _rejects(
             "verify", "--max-k", args.max_k):
         return 1
+    from symchar import verify
+
     results = verify.run_checks(args.max_n, args.max_k)
     failed = [r for r in results if not r.passed]
     if args.json:
+        import json
+
         doc = {"checks": [{"check": r.name, "status": "pass"} if r.passed else
                           {"check": r.name, "status": "fail", "detail": r.detail}
                           for r in results]}

@@ -9,10 +9,9 @@ point (x, y) is x - y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 
@@ -85,8 +84,7 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
         yield from partitions(m)
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
+class FrobeniusCoords(NamedTuple):
     """Shifted Frobenius coordinates: A_i = a_i + 1/2, B_i = b_i + 1/2 where
     a_i, b_i are the arm and leg lengths of the i-th diagonal box."""
 
@@ -121,24 +119,61 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"malformed rational list {text!r}") from None
 
 
-@dataclass(frozen=True)
-class MultiRect:
+class _Record:
+    """Base of an immutable value type whose fields are its __slots__: equal
+    and hashed by its field values, printed as Name(field=value, ...), and
+    never assigned to once __init__ has set each field by _set."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MultiRect(_Record):
     """Multirectangular diagram p x q: stacked rectangles, block i of height
     p_i and width q_i, widths weakly decreasing bottom-up."""
 
+    __slots__ = ("p", "q")
     p: tuple[Fraction, ...]
     q: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(Fraction(x) for x in self.p))
-        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
-        if len(self.p) != len(self.q):
+    def __init__(self, p: Sequence, q: Sequence):
+        p = tuple(Fraction(x) for x in p)
+        q = tuple(Fraction(x) for x in q)
+        if len(p) != len(q):
             raise ValueError("p and q must have equal lengths")
-        if any(x < 0 for x in self.p) or any(x < 0 for x in self.q):
+        if any(x < 0 for x in p) or any(x < 0 for x in q):
             raise ValueError("p and q entries must be nonnegative")
-        for a, b in zip(self.q, self.q[1:]):
+        for a, b in zip(q, q[1:]):
             if a < b:
                 raise ValueError("q must be weakly decreasing")
+        self._set(p=p, q=q)
 
     @classmethod
     def from_strings(cls, p_text: str, q_text: str) -> "MultiRect":

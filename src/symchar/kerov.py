@@ -15,7 +15,6 @@ patterns (1,046 at k = 9), not with the k! pairs.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -23,34 +22,36 @@ from typing import Iterator, Sequence
 
 from symchar import perms
 from symchar.charoracle import _falling
+from symchar.diagrams import _Record
 from symchar.functionals import _power_coefficients
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
 
 
-@dataclass(frozen=True)
-class KerovTriple:
+class KerovTriple(_Record):
     """A factorization of the canonical cycle plus a coloring of the
     s2-cycles; colors[i] >= 2 belongs to the i-th cycle of cycles(sigma2)
     and the color total equals |C(sigma1)| + |C(sigma2)|."""
 
+    __slots__ = ("sigma1", "sigma2", "colors")
     sigma1: Perm
     sigma2: Perm
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        k = len(self.sigma1)
-        if perms.compose(self.sigma1, self.sigma2) != perms.canonical_cycle(k):
+    def __init__(self, sigma1: Perm, sigma2: Perm, colors: tuple[int, ...]):
+        k = len(sigma1)
+        if perms.compose(sigma1, sigma2) != perms.canonical_cycle(k):
             raise ValueError("sigma1 o sigma2 must be the canonical cycle")
-        c1 = perms.cycles(self.sigma1)
-        c2 = perms.cycles(self.sigma2)
-        if len(self.colors) != len(c2):
+        c1 = perms.cycles(sigma1)
+        c2 = perms.cycles(sigma2)
+        if len(colors) != len(c2):
             raise ValueError("one color per sigma2-cycle required")
-        if any(c < 2 for c in self.colors):
+        if any(c < 2 for c in colors):
             raise ValueError("colors must be >= 2")
-        if sum(self.colors) != len(c1) + len(c2):
+        if sum(colors) != len(c1) + len(c2):
             raise ValueError("color total must equal the total cycle count")
+        self._set(sigma1=sigma1, sigma2=sigma2, colors=colors)
 
 
 def _subset_counts(masks: Sequence[int], m2: int) -> list[int]:

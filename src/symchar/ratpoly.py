@@ -14,7 +14,6 @@ descending variable sequence, e.g. "R7 + 35*R5 + 35*R3*R2 + 84*R3".
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import lcm
@@ -398,10 +397,14 @@ class RatPoly:
         return cls._from_canonical(terms)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RatPoly":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
 

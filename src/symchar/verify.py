@@ -8,19 +8,18 @@ set used by the command-line verifier.  No other module compares two routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iterperms
 from itertools import product as iproduct
 from math import comb, factorial
+from typing import NamedTuple
 
 from symchar import charoracle, functionals, kerov, perms, stanley
 from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
 from symchar.ratpoly import RatPoly, interpolate_univariate
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import json
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -198,6 +201,9 @@ BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and column
     (("poly", "--k", "0"), "symchar poly: error: --k must be >= 1\n"),
     (("verify", "--max-n", "21"), "symchar verify: error: --max-n must be between 1 and 20\n"),
     (("verify", "--max-k", "21"), "symchar verify: error: --max-k must be between 1 and 20\n"),
+    # one box of 1/D x 1/D fits any common denominator D, which has a bound of its own
+    (("cumulants", "--p", "1/10007", "--q", "1/10007"), "symchar cumulants: error: the entries"
+     " of --p/--q must have a common denominator of at most 10000\n"),
 ])
 def test_oversize_input_exits_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", message)
@@ -232,6 +238,15 @@ def test_largest_inputs_print_exact_values(capsys, digit_limit):
     assert doc["routes_agree"] is True
     assert Fraction(doc["S"]["100"]) == functionals.s_functional_multirect(
         MultiRect.from_strings("1/100", "100"), 100)
+
+
+def test_cumulants_accepts_denominator_at_bound(capsys):
+    code, out, _ = run(capsys, "cumulants", "--p", "1/9973", "--q", "1/9973", "--max-k", "6",
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["routes_agree"] is True
+    assert doc["S"]["2"] == "1/99460729"
 
 
 def test_unknown_and_missing_arguments(capsys):
@@ -321,3 +336,50 @@ def test_verify_json_reports_failure_detail(capsys, monkeypatch):
     assert failed[0]["check"].startswith("catalan-minimal-factorizations")
     assert failed[0]["detail"] == "boom"
     assert all(set(c) == {"check", "status"} for c in checks if c["status"] == "pass")
+
+
+LIBRARY = {"symchar", "symchar.cli", "symchar.charoracle", "symchar.diagrams",
+           "symchar.functionals", "symchar.kerov", "symchar.perms", "symchar.ratpoly",
+           "symchar.stanley", "symchar.verify"}
+
+
+def _fresh_footprint(statement):
+    """The symchar modules, and dataclasses, that a statement adds to the
+    modules of a fresh interpreter."""
+    code = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"
+            "print(sorted(m for m in set(sys.modules) - before"
+            " if m == 'dataclasses' or m.split('.')[0] == 'symchar'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, {"symchar"}),
+    (["character", "--lambda", "3,2,1", "--k", "3", "--json"],
+     {"symchar", "symchar.cli", "symchar.diagrams", "symchar.charoracle"}),
+    (["poly", "--k", "4", "--json"], LIBRARY - {"symchar.verify"}),
+    (["poly", "--k", "4", "--basis", "S", "--route", "stanley"], LIBRARY - {"symchar.verify"}),
+    (["cumulants", "--p", "1/2", "--q", "3", "--max-k", "4", "--json"], LIBRARY),
+    (["verify", "--max-n", "2", "--max-k", "2"], LIBRARY),
+])
+def test_start_up_footprint(argv, modules):
+    # a fresh process loads only the modules its command calls, and never
+    # dataclasses
+    statement = ("import symchar" if argv is None else
+                 f"from symchar.cli import main\nassert main({argv!r}) == 0")
+    assert _fresh_footprint(statement) == modules
+
+
+def test_package_exports_load_on_first_use():
+    import symchar
+
+    star = {}
+    exec("from symchar import *", star)
+    for name in symchar.__all__:
+        obj = getattr(symchar, name)
+        assert obj is getattr(importlib.import_module(obj.__module__), name)
+        assert star[name] is obj
+    assert set(symchar.__all__) <= set(dir(symchar))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        symchar.no_such_name

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -109,12 +110,28 @@ def test_multirect_to_partition():
 
 
 def test_multirect_validation():
-    with pytest.raises(ValueError):
-        MultiRect((1, 1), (1, 2))  # q must be weakly decreasing
-    with pytest.raises(ValueError):
-        MultiRect((1,), (1, 1))  # length mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^q must be weakly decreasing$"):
+        MultiRect((1, 1), (1, 2))
+    with pytest.raises(ValueError, match="^p and q must have equal lengths$"):
+        MultiRect((1,), (1, 1))
+    with pytest.raises(ValueError, match="^p and q entries must be nonnegative$"):
         MultiRect((-1,), (1,))
+
+
+def test_multirect_is_an_immutable_value():
+    m = MultiRect((1, Fraction(1, 2)), (3, 1))
+    assert repr(m) == ("MultiRect(p=(Fraction(1, 1), Fraction(1, 2)), "
+                       "q=(Fraction(3, 1), Fraction(1, 1)))")
+    twin = MultiRect.from_strings("1,1/2", "3,1")
+    assert m == twin and hash(m) == hash(twin)
+    assert m != MultiRect((1, 1), (3, 1))
+    assert m != (m.p, m.q) and m != (3, 1)
+    assert pickle.loads(pickle.dumps(m)) == m
+    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+        m.p = (2,)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m.p == (1, Fraction(1, 2))
 
 
 def test_multirect_box_count():

@@ -35,14 +35,26 @@ THREE_CYCLE = (3, 1, 2)  # the 3-cycle 1 -> 3 -> 2 -> 1 in S(3)
 
 def test_triple_validation():
     KerovTriple(THREE_CYCLE, THREE_CYCLE, (2,))
-    with pytest.raises(ValueError):
-        KerovTriple(THREE_CYCLE, (1, 2, 3), (2,))  # product is not the cycle
-    with pytest.raises(ValueError):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (1,))  # color < 2
-    with pytest.raises(ValueError):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (3,))  # wrong color total
-    with pytest.raises(ValueError):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (2, 2))  # wrong length
+    with pytest.raises(ValueError, match="^sigma1 o sigma2 must be the canonical cycle$"):
+        KerovTriple(THREE_CYCLE, (1, 2, 3), (2,))
+    with pytest.raises(ValueError, match="^colors must be >= 2$"):
+        KerovTriple(THREE_CYCLE, THREE_CYCLE, (1,))
+    with pytest.raises(ValueError, match="^color total must equal the total cycle count$"):
+        KerovTriple(THREE_CYCLE, THREE_CYCLE, (3,))
+    with pytest.raises(ValueError, match="^one color per sigma2-cycle required$"):
+        KerovTriple(THREE_CYCLE, THREE_CYCLE, (2, 2))
+
+
+def test_triple_is_an_immutable_value():
+    t = KerovTriple((2, 1, 3), (1, 3, 2), (2, 2))
+    assert repr(t) == "KerovTriple(sigma1=(2, 1, 3), sigma2=(1, 3, 2), colors=(2, 2))"
+    twin = KerovTriple((2, 1, 3), (1, 3, 2), (2, 2))
+    assert t == twin and hash(t) == hash(twin)
+    assert t != KerovTriple(THREE_CYCLE, THREE_CYCLE, (2,))
+    assert t != ((2, 1, 3), (1, 3, 2), (2, 2))
+    with pytest.raises(AttributeError, match="cannot assign to field 'colors'"):
+        t.colors = (3,)
+    assert t.colors == (2, 2)
 
 
 def test_marriage_single_cycle_vacuous():

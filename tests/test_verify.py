@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar import verify
+from symchar import functionals, verify
 from symchar.charoracle import normalized_character, normalized_character_general
 from symchar.diagrams import MultiRect, conjugate
 
@@ -49,6 +50,20 @@ def test_r_composition_vs_interpolation_random(rows, k):
 @given(_multirects(), st.integers(2, 6))
 def test_r_multirect_random(m, k):
     assert verify.check_r_multirect([m], k) == (True, "")
+
+
+@settings(max_examples=50, deadline=None)
+@given(_multirects(), st.integers(2, 8))
+def test_s_multirect_random(m, k):
+    # the corner form against the symbolic multinomial form, and against the
+    # content tally of the diagram scaled by the common denominator D of the
+    # entries, S_k being homogeneous of degree k
+    s = functionals.s_functional_multirect(m, k)
+    symbolic = functionals.s_functional_multirect_symbolic(len(m.p), k)
+    assert s == symbolic.evaluate(m.assignment())
+    den = lcm(*(x.denominator for x in m.p + m.q))
+    scaled = MultiRect([den * x for x in m.p], [den * x for x in m.q]).to_partition()
+    assert s == functionals.s_vector(scaled, k)[k] / den ** k
 
 
 @settings(max_examples=50, deadline=None)
