@@ -5,9 +5,11 @@ S_k is (k-1) times the integral of contents^{k-2} over the diagram; it can
 be evaluated by box integrals grouped by content, from shifted Frobenius
 coordinates in doubled integers, or symbolically on a multirectangular
 diagram.  R_k is obtained from the S-values by truncated power-series
-composition (inverted in closed form by kerov.s_in_terms_of_r), as the
-leading coefficient of the dilated normalized character, or by the
-minimal-factorization sum on multirectangular diagrams.
+composition, as the leading coefficient of the dilated normalized character
+(a k-th finite difference), or by the minimal-factorization sum on
+multirectangular diagrams.  Symbolically, R_k in the S_j is the closed
+composition formula, one monomial per partition of k into parts >= 2; its
+inverse, kerov.s_in_terms_of_r, is written down the same way.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from typing import Mapping
 
 from symchar import perms
 from symchar.charoracle import normalized_character
-from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partition, dilate
-from symchar.ratpoly import CACHE_SIZE, RatPoly, _as_fraction, interpolate_univariate
+from symchar.diagrams import (FrobeniusCoords, MultiRect, Partition, check_partition, dilate,
+                              partitions)
+from symchar.ratpoly import CACHE_SIZE, RatPoly, _as_fraction
 
 
 def s_functional_boxes(rows: Partition, k: int) -> Fraction:
@@ -166,8 +169,27 @@ def free_cumulant_from_s(s_values: Mapping[int, object], k: int):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def r_in_terms_of_s(k: int) -> RatPoly:
-    """R_k as an exact polynomial in the variables S_2 .. S_k."""
-    return free_cumulant_from_s({j: RatPoly.variable(("S", j)) for j in range(2, k + 1)}, k)
+    """R_k as an exact polynomial in the variables S_2 .. S_k, written down
+    one monomial per partition mu of k into parts >= 2:
+
+        R_k = sum_mu (1-k)^(l-1) / prod_i m_i! * S_mu,
+
+    l the number of parts of mu and m_i the multiplicity of part i.  It is
+    the composition sum of free_cumulant_from_s with the l! / prod_i m_i!
+    orderings of mu in [z^k] S(z)^l gathered into one term.
+
+    >>> print(r_in_terms_of_s(4))
+    S4 - 3/2*S2^2
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    terms = {}
+    for mu in partitions(k):
+        if mu[-1] >= 2:
+            mult = Counter(mu)
+            mono = tuple((("S", j), m) for j, m in sorted(mult.items()))
+            terms[mono] = Fraction((1 - k) ** (len(mu) - 1), prod(map(factorial, mult.values())))
+    return RatPoly._from_canonical(terms)
 
 
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
@@ -205,15 +227,20 @@ def r_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
 
 def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     """R_k as the coefficient of s^k in s -> Sigma_{k-1} of the s-dilated
-    diagram, fitted exactly at the nodes s = 0..k (s = 0 is the empty
-    diagram, where the normalized character vanishes)."""
+    diagram, a polynomial of degree k: the leading coefficient of its
+    interpolant at the nodes s = 0..k (s = 0 is the empty diagram, where the
+    normalized character vanishes), read as the k-th finite difference
+
+        R_k = sum_{s=0..k} (-1)^(k-s) C(k,s) Sigma_{k-1}(s.rows) / k!.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
     rows = check_partition(rows)
-    points = [(0, Fraction(0))]
-    points += [(s, normalized_character(dilate(rows, s), k - 1)) for s in range(1, k + 1)]
-    poly = interpolate_univariate(points, k)
-    return poly.coefficient_of({("s", 1): k})
+    values = [normalized_character(dilate(rows, s), k - 1) for s in range(1, k + 1)]
+    den = lcm(*(v.denominator for v in values))
+    total = sum((-1) ** (k - s) * comb(k, s) * v.numerator * (den // v.denominator)
+                for s, v in enumerate(values, 1))
+    return Fraction(total, factorial(k) * den)
 
 
 def _multirect_factorization_sum(pi: perms.Perm, r: int,

@@ -17,13 +17,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from symchar import perms
 from symchar.charoracle import _falling
-from symchar.diagrams import _Record
-from symchar.functionals import _power_coefficients
+from symchar.diagrams import _Record, partitions
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
@@ -238,18 +237,31 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
 @lru_cache(maxsize=CACHE_SIZE)
 def s_in_terms_of_r(k_max: int) -> dict[int, RatPoly]:
     """S_j as a polynomial in R_2..R_j for 2 <= j <= k_max, by the closed
-    form that Lagrange inversion gives for the composition formula:
+    form that Lagrange inversion gives for the composition formula, one
+    monomial per partition mu of j into parts >= 2:
 
-        S_j = sum_{l>=1} (j-1)(j-2)...(j-l+1)/l! [z^j] R(z)^l,  R(z) = sum_{i>=2} R_i z^i.
+        S_j = sum_mu (j-1)(j-2)...(j-l+1) / prod_i m_i! * R_mu,
 
-    It shares no step with functionals.r_in_terms_of_s, so composing the two
-    checks one formula against an independent one."""
+    l the number of parts of mu and m_i the multiplicity of part i.  With
+    functionals.r_in_terms_of_s it shares only the list of partitions, so
+    composing the two checks one formula against its inverse.
+
+    >>> print(s_in_terms_of_r(4)[4])
+    R4 + 3/2*R2^2
+    """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    r_vars = {j: RatPoly.variable(("R", j)) for j in range(2, k_max + 1)}
-    return {j: sum(Fraction(_falling(j - 1, l - 1), factorial(l)) * c
-                   for l, c in enumerate(_power_coefficients(r_vars, j), 1))
-            for j in range(2, k_max + 1)}
+    table = {}
+    for j in range(2, k_max + 1):
+        terms = {}
+        for mu in partitions(j):
+            if mu[-1] >= 2:
+                mult = Counter(mu)
+                mono = tuple((("R", i), m) for i, m in sorted(mult.items()))
+                terms[mono] = Fraction(_falling(j - 1, len(mu) - 1),
+                                       prod(map(factorial, mult.values())))
+        table[j] = RatPoly._from_canonical(terms)
+    return table
 
 
 def kerov_polynomial_by_conversion(k: int) -> RatPoly:

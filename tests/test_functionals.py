@@ -175,8 +175,9 @@ def test_power_series_r_matches_composition_sum():
         svals = s_vector(rows, 14)
         for k in range(2, 15):
             assert free_cumulant_from_s(svals, k) == _r_by_composition_sum(svals, k)
-    for k in range(2, 13):
-        assert r_in_terms_of_s(k) == _r_by_composition_sum({j: S(j) for j in range(2, k + 1)}, k)
+    for k in range(2, 17):
+        svars = {j: S(j) for j in range(2, k + 1)}
+        assert r_in_terms_of_s(k) == _r_by_composition_sum(svars, k) == free_cumulant_from_s(svars, k)
 
 
 def test_free_cumulant_from_s_rational_matches_symbolic():
@@ -210,6 +211,9 @@ def test_free_cumulant_low_orders_symbolic():
     assert r_in_terms_of_s(2) == S(2)
     assert r_in_terms_of_s(3) == S(3)
     assert r_in_terms_of_s(4) == S(4) - Fraction(3, 2) * S(2) ** 2
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            r_in_terms_of_s(k)
 
 
 def test_free_cumulant_from_s_examples():

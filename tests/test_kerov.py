@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from symchar import perms
 from symchar.charoracle import normalized_character
-from symchar.diagrams import partitions, partitions_up_to
-from symchar.functionals import free_cumulant_from_s, r_in_terms_of_s, r_vector, s_vector
+from symchar.diagrams import MultiRect, partitions, partitions_up_to
+from symchar.functionals import (free_cumulant_from_s, r_in_terms_of_s, r_vector, r_vector_from_s,
+                                 s_vector)
 from symchar.kerov import (
     KerovTriple,
     candidate_triples,
@@ -105,6 +106,8 @@ def test_s_in_terms_of_r_low_orders():
     assert table[2] == R(2)
     assert table[3] == R(3)
     assert table[4] == R(4) + Fraction(3, 2) * R(2) ** 2
+    with pytest.raises(ValueError, match="k_max must be >= 2"):
+        s_in_terms_of_r(1)
 
 
 def _s_by_triangular_inversion(k_max):
@@ -137,6 +140,17 @@ def test_s_in_terms_of_r_inverts_r_from_s(rows, k):
     svals = s_vector(rows, k)
     rvals = {j: free_cumulant_from_s(svals, j) for j in range(2, k + 1)}
     assert s_in_terms_of_r(k)[k].evaluate({("R", j): v for j, v in rvals.items()}) == svals[k]
+
+
+def test_s_in_terms_of_r_inverts_the_numeric_series_at_k24():
+    # R from the truncated power series of r_vector_from_s shares no step
+    # with the closed form; every S_j, j <= 24, enters S_24 through R_2..R_24
+    table = s_in_terms_of_r(24)
+    shapes = [(1,), (3, 2, 1), (7, 7, 4, 1), MultiRect.from_strings("1/2,3/2,5/3", "7/2,2,1")]
+    for shape in shapes:
+        svals = s_vector(shape, 24)
+        rvals = r_vector_from_s(svals, 24)
+        assert table[24].evaluate({("R", j): v for j, v in rvals.items()}) == svals[24]
 
 
 def test_s_in_terms_of_r_round_trip():

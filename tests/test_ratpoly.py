@@ -249,6 +249,8 @@ TRUSTED_SITES = {
         stanley.j_polynomial_by_counting(k) for k in range(1, 9)],
     "j_polynomial_via_stanley": lambda: [
         stanley.j_polynomial_via_stanley(k) for k in range(1, 8)],
+    "r_in_terms_of_s": lambda: [functionals.r_in_terms_of_s(k) for k in range(2, 19)],
+    "s_in_terms_of_r": lambda: list(kerov.s_in_terms_of_r(18).values()),
 }
 
 
