@@ -22,7 +22,7 @@ normalized_character_general, which stays an independent route to Sigma_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Sequence
 
 from symchar.diagrams import Partition, check_partition, conjugate
@@ -118,13 +118,6 @@ def dimension(rows: Partition) -> int:
     return dim
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def normalized_character(rows: Partition, k: int) -> Fraction:
     """Sigma_k = n(n-1)...(n-k+1) chi^rows((k, 1^{n-k})) / dim rows, 0 if k > n,
     by the beta-set sum in integers, with one Fraction built at the end."""
@@ -139,7 +132,7 @@ def normalized_character(rows: Partition, k: int) -> Fraction:
     for b in beta:
         if b < k or b - k in present:
             continue
-        term_num, term_den = _falling(b, k), 1
+        term_num, term_den = perm(b, k), 1
         for c in beta:
             if c != b:
                 term_num *= b - k - c
@@ -160,4 +153,4 @@ def normalized_character_general(rows: Partition, pi_type: Sequence[int]) -> Fra
     if k > n:
         return Fraction(0)
     padded = tuple(sorted(pi_type + (1,) * (n - k), reverse=True))
-    return Fraction(_falling(n, k) * mn_character(rows, padded), dimension(rows))
+    return Fraction(perm(n, k) * mn_character(rows, padded), dimension(rows))

@@ -4,12 +4,13 @@ available through several independent computation routes.
 S_k is (k-1) times the integral of contents^{k-2} over the diagram; it can
 be evaluated by box integrals grouped by content, from shifted Frobenius
 coordinates in doubled integers, or symbolically on a multirectangular
-diagram.  R_k is obtained from the S-values by truncated power-series
-composition, as the leading coefficient of the dilated normalized character
-(a k-th finite difference), or by the minimal-factorization sum on
-multirectangular diagrams.  Symbolically, R_k in the S_j is the closed
-composition formula, one monomial per partition of k into parts >= 2; its
-inverse, kerov.s_in_terms_of_r, is written down the same way.
+diagram.  R_k is obtained from the exact S-values by truncated power-series
+composition over integers (one kernel serves one R_k and the whole table),
+as the leading coefficient of the dilated normalized character (a k-th
+finite difference), or by the minimal-factorization sum on multirectangular
+diagrams.  Symbolically, R_k in the S_j is the closed composition formula,
+one monomial per partition of k into parts >= 2; its inverse,
+kerov.s_in_terms_of_r, is the same partition sum with another coefficient.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -121,50 +122,57 @@ def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     return out
 
 
-def _power_coefficients(v: Mapping[int, object], k: int) -> list:
-    """[z^k] V(z)^l for l = 1..k//2, where V(z) = sum_{j>=2} v[j] z^j.
+def _scaled_powers(s_values: Mapping[int, object], n: int) -> Iterator:
+    """Yield D, the lcm of the denominators of S_2..S_n, then for l = 1 ..
+    n // 2 the integer coefficients c[d] = [z^d] (sum_j D S_j z^j)^l for
+    d = 0..n, zero below 2l.  Every value goes through _as_fraction, so a
+    float or RatPoly raises TypeError."""
+    for j in range(2, n + 1):
+        if j not in s_values:
+            raise KeyError(f"missing S_{j} value")
+    vals = [_as_fraction(s_values[j]) for j in range(2, n + 1)]
+    den = lcm(*(x.denominator for x in vals))
+    yield den
+    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
+    power = ints
+    for l in range(1, n // 2 + 1):
+        yield power
+        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
+                                     for d in range(2 * l + 2, n + 1)]
 
-    The values need only + and *, so Fractions and RatPolys both work.  The
-    powers are truncated at z^(k-2), so v[k-1] is never read: in a sum of
-    parts >= 2 that equals k, a part k - 1 would leave 1 for the others.
-    """
-    coeffs = [v[k]]
-    power = {d: v[d] for d in range(2, k - 1)}  # V^1 up to z^(k-2)
-    for l in range(2, k // 2 + 1):
-        low = 2 * (l - 1)  # lowest degree of V^(l-1)
-        coeffs.append(sum(power[d] * v[k - d] for d in range(low, k - 1)))
-        power = {d: sum(power[e] * v[d - e] for e in range(low, d - 1))
-                 for d in range(low + 2, k - 1)}
-    return coeffs
 
-
-def free_cumulant_from_s(s_values: Mapping[int, object], k: int):
-    """R_k from the S-values by the exact composition sum
+def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
+    """R_k from the exact S-values by the composition sum
 
         R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
 
     where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
-    j_1+...+j_l = k of parts >= 2; the truncated powers of S(z) compute all
-    of them in O(k^3) products.  Values may be Fractions or RatPoly, so the
-    same formula yields the symbolic expansion.  Fractions and ints are first
-    scaled by the lcm D of their denominators: [z^k] S(z)^l = c_l / D^l with c_l
-    taken of the integers D S_j, over one denominator L! D^L, L = k // 2.
+    j_1+...+j_l = k of parts >= 2, read off the truncated powers of S(z) in
+    O(k^3) products.  With D the lcm of the denominators, [z^k] S(z)^l =
+    c_l / D^l for the integers c_l of _scaled_powers, summed over one
+    denominator L! D^L, L = k // 2.  S_{k-1} is never read: a part k - 1
+    would leave 1 for the others.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    read = (*range(2, k - 1), k)
-    for j in read:
-        if j not in s_values:
-            raise KeyError(f"missing S_{j} value")
-    if all(isinstance(s_values[j], (int, Fraction)) for j in read):
-        den = lcm(*(s_values[j].denominator for j in read))
-        ints = {j: s_values[j].numerator * (den // s_values[j].denominator) for j in read}
-        top = k // 2
-        total = sum((1 - k) ** (l - 1) * (factorial(top) // factorial(l)) * den ** (top - l) * c
-                    for l, c in enumerate(_power_coefficients(ints, k), 1))
-        return Fraction(total, factorial(top) * den ** top)
-    return sum(Fraction((1 - k) ** (l - 1), factorial(l)) * c
-               for l, c in enumerate(_power_coefficients(s_values, k), 1))
+    powers = _scaled_powers({**s_values, k - 1: 0}, k)
+    den, top = next(powers), k // 2
+    total = sum((1 - k) ** (l - 1) * (factorial(top) // factorial(l)) * den ** (top - l) * c[k]
+                for l, c in enumerate(powers, 1))
+    return Fraction(total, factorial(top) * den ** top)
+
+
+def _partition_sum(family: str, n: int, coeff: Callable[[int], int]) -> RatPoly:
+    """sum_mu coeff(l) / prod_i m_i! * x_mu over the partitions mu of n into
+    parts >= 2, x the variables of `family`, l the number of parts of mu and
+    m_i the multiplicity of part i: one monomial per partition."""
+    terms = {}
+    for mu in partitions(n):
+        if mu[-1] >= 2:
+            mult = Counter(mu)
+            mono = tuple(((family, j), m) for j, m in sorted(mult.items()))
+            terms[mono] = Fraction(coeff(len(mu)), prod(map(factorial, mult.values())))
+    return RatPoly._from_canonical(terms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -183,40 +191,25 @@ def r_in_terms_of_s(k: int) -> RatPoly:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    terms = {}
-    for mu in partitions(k):
-        if mu[-1] >= 2:
-            mult = Counter(mu)
-            mono = tuple((("S", j), m) for j, m in sorted(mult.items()))
-            terms[mono] = Fraction((1 - k) ** (len(mu) - 1), prod(map(factorial, mult.values())))
-    return RatPoly._from_canonical(terms)
+    return _partition_sum("S", k, lambda l: (1 - k) ** (l - 1))
 
 
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
     """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, by the
     sum of free_cumulant_from_s over one set of truncated powers of S(z):
-    with D the lcm of the denominators and s_j = D S_j, the integer
-    coefficients c_(l,d) = [z^d] (sum_j s_j z^j)^l for d <= k_max give
+    with the integer coefficients c_(l,d) of _scaled_powers for d <= k_max,
     R_k = sum_l (1-k)^(l-1) c_(l,k) / (l! D^l) over the one denominator
     L! D^L, L = k_max // 2.  That is O(k_max^3) products in all, where
     calling free_cumulant_from_s for each k costs O(k_max^4)."""
     if k_max < 2:
         return {}
-    for j in range(2, k_max + 1):
-        if j not in s_values:
-            raise KeyError(f"missing S_{j} value")
-    vals = [_as_fraction(s_values[j]) for j in range(2, k_max + 1)]
-    den = lcm(*(x.denominator for x in vals))
-    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
-    top = k_max // 2
+    powers = _scaled_powers(s_values, k_max)
+    den, top = next(powers), k_max // 2
     acc = [0] * (k_max + 1)
-    power = ints  # c_(l,d) for d = 0..k_max, zero below 2l
-    for l in range(1, top + 1):
+    for l, c in enumerate(powers, 1):
         weight = factorial(top) // factorial(l) * den ** (top - l)
         for k in range(2 * l, k_max + 1):
-            acc[k] += (1 - k) ** (l - 1) * weight * power[k]
-        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
-                                     for d in range(2 * l + 2, k_max + 1)]
+            acc[k] += (1 - k) ** (l - 1) * weight * c[k]
     return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, k_max + 1)}
 
 

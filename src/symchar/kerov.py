@@ -17,12 +17,13 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from typing import Iterator, Sequence
+from math import factorial, perm
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from symchar import perms
-from symchar.charoracle import _falling
-from symchar.diagrams import _Record, partitions
+from symchar.diagrams import _Record
+from symchar.functionals import _partition_sum
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
@@ -235,7 +236,7 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def s_in_terms_of_r(k_max: int) -> dict[int, RatPoly]:
+def s_in_terms_of_r(k_max: int) -> Mapping[int, RatPoly]:
     """S_j as a polynomial in R_2..R_j for 2 <= j <= k_max, by the closed
     form that Lagrange inversion gives for the composition formula, one
     monomial per partition mu of j into parts >= 2:
@@ -243,25 +244,17 @@ def s_in_terms_of_r(k_max: int) -> dict[int, RatPoly]:
         S_j = sum_mu (j-1)(j-2)...(j-l+1) / prod_i m_i! * R_mu,
 
     l the number of parts of mu and m_i the multiplicity of part i.  With
-    functionals.r_in_terms_of_s it shares only the list of partitions, so
-    composing the two checks one formula against its inverse.
+    functionals.r_in_terms_of_s it shares only the partition sum, not the
+    coefficient, so composing the two checks one formula against its
+    inverse.  The table is cached, so it is returned read-only.
 
     >>> print(s_in_terms_of_r(4)[4])
     R4 + 3/2*R2^2
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    table = {}
-    for j in range(2, k_max + 1):
-        terms = {}
-        for mu in partitions(j):
-            if mu[-1] >= 2:
-                mult = Counter(mu)
-                mono = tuple((("R", i), m) for i, m in sorted(mult.items()))
-                terms[mono] = Fraction(_falling(j - 1, len(mu) - 1),
-                                       prod(map(factorial, mult.values())))
-        table[j] = RatPoly._from_canonical(terms)
-    return table
+    return MappingProxyType({j: _partition_sum("R", j, lambda l: perm(j - 1, l - 1))
+                             for j in range(2, k_max + 1)})
 
 
 def kerov_polynomial_by_conversion(k: int) -> RatPoly:

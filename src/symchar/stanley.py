@@ -19,11 +19,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iterperms
-from math import factorial
+from math import factorial, perm
 from typing import Sequence
 
 from symchar import perms
-from symchar.charoracle import _falling
+from symchar.diagrams import partitions
 from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
@@ -90,7 +90,7 @@ def check_s_coefficient_formula(k: int, indices: Sequence[int],
     r = indices[-1]
     got = p_bracket(s_functional_multirect_symbolic(r, k), indices)
     if 1 <= s <= k - 1:
-        coeff = Fraction((-1) ** (s - 1) * _falling(k - 1, s - 1))
+        coeff = Fraction((-1) ** (s - 1) * perm(k - 1, s - 1))
         expected = RatPoly.variable(("q", indices[-1])) ** (k - s) * coeff
     else:
         expected = RatPoly.zero()
@@ -113,16 +113,9 @@ def check_bracket_identity(poly: RatPoly, j1: int, j2: int) -> bool:
 
 def j_monomial_multisets(k: int) -> list[tuple[int, ...]]:
     """Sorted multisets (j_1 <= ... <= j_l), j_i >= 2, that can index a
-    monomial of J_k: the total S-weight sum(j_i) is at most k + 1."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], remaining: int, min_part: int):
-        for j in range(min_part, remaining + 1):
-            out.append(prefix + (j,))
-            grow(prefix + (j,), remaining - j, j)
-
-    grow((), k + 1, 2)
-    return out
+    monomial of J_k: the total S-weight sum(j_i) is at most k + 1.  Listed
+    in lexicographic order."""
+    return sorted(mu[::-1] for n in range(2, k + 2) for mu in partitions(n) if mu[-1] >= 2)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -110,6 +110,16 @@ def test_s_in_terms_of_r_low_orders():
         s_in_terms_of_r(1)
 
 
+def test_s_in_terms_of_r_table_is_read_only():
+    table = s_in_terms_of_r(4)
+    with pytest.raises(TypeError):
+        table[4] = None
+    with pytest.raises(TypeError):
+        del table[3]
+    assert s_in_terms_of_r(4) == {2: R(2), 3: R(3), 4: R(4) + Fraction(3, 2) * R(2) ** 2}
+    assert str(kerov_polynomial_by_conversion(3)) == "R4 + R2"
+
+
 def _s_by_triangular_inversion(k_max):
     # R_k = S_k + (products of S_j, j <= k - 2), solved for S_k order by order
     inv = {}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import permutations as iterperms
 from itertools import product
 
@@ -225,3 +226,7 @@ def test_j_monomial_multisets_bound():
     for ms in j_monomial_multisets(6):
         assert sum(ms) <= 7
         assert all(j >= 2 for j in ms)
+    for k in range(1, 9):
+        brute = {ms for l in range(1, k + 2) for ms in combinations_with_replacement(range(2, k + 2), l)
+                 if sum(ms) <= k + 1}
+        assert j_monomial_multisets(k) == sorted(brute)
