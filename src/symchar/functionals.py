@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -236,6 +236,12 @@ def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     return Fraction(total, factorial(k) * den)
 
 
+def _owner_lists(m2: int, masks: Sequence[int]) -> list[list[int]]:
+    """For each s1-cycle of a pattern (m2, masks) of
+    perms.factorization_patterns, the s2-cycles it meets, in increasing order."""
+    return [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+
+
 def _multirect_factorization_sum(pi: perms.Perm, r: int,
                                  cycle_total: int | None = None) -> RatPoly:
     """Sum over factorizations s1 o s2 = pi, only those with
@@ -249,7 +255,7 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int,
         if cycle_total is not None and len(masks) + m2 != cycle_total:
             continue
         weight = mult if (len(pi) - len(masks)) % 2 == 0 else -mult
-        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+        adj = _owner_lists(m2, masks)
         for phi2 in iproduct(range(r), repeat=m2):
             exps = [0] * (2 * r)
             for color in phi2:

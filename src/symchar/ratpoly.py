@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -60,7 +61,7 @@ def _var_key(v: Var) -> tuple[int, int]:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
@@ -109,25 +110,24 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(merged.items(), key=lambda it: _var_key(it[0])))
 
 
+def _collect(pairs: Iterable[tuple[Mono, Fraction]]) -> dict[Mono, Fraction]:
+    """The one place where polynomial terms merge: sums the Fraction
+    coefficients of equal canonical monomials and drops the zero sums."""
+    out: dict[Mono, Fraction] = {}
+    for mono, coeff in pairs:
+        acc = out.get(mono)
+        out[mono] = coeff if acc is None else acc + coeff
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
 class RatPoly:
     """Immutable sparse polynomial; operations return fresh values."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | None = None):
-        normalized: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if not coeff:
-                    continue
-                mono = normalize_mono(mono)
-                acc = normalized.get(mono, 0) + coeff
-                if acc:
-                    normalized[mono] = acc
-                elif mono in normalized:
-                    del normalized[mono]
-        self._terms = normalized
+        self._terms = _collect((normalize_mono(mono), _as_fraction(coeff))
+                               for mono, coeff in (terms or {}).items())
 
     @classmethod
     def zero(cls) -> "RatPoly":
@@ -172,14 +172,7 @@ class RatPoly:
             other = RatPoly.const(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            elif mono in out:
-                del out[mono]
-        return self._from_canonical(out)
+        return self._from_canonical(_collect(chain(self._terms.items(), other._terms.items())))
 
     __radd__ = __add__
 
@@ -194,22 +187,12 @@ class RatPoly:
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return RatPoly.zero()
-            return self._from_canonical({m: v * c for m, v in self._terms.items()})
+            other = RatPoly.const(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                elif mono in out:
-                    del out[mono]
-        return self._from_canonical(out)
+        return self._from_canonical(_collect(
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()))
 
     __rmul__ = __mul__
 
@@ -241,21 +224,14 @@ class RatPoly:
         return poly
 
     def _diff(self, v: Var) -> "RatPoly":
-        out: dict[Mono, Fraction] = {}
+        pairs = []
         for mono, coeff in self._terms.items():
             for pos, (var, exp) in enumerate(mono):
                 if var == v:
-                    if exp == 1:
-                        new = mono[:pos] + mono[pos + 1:]
-                    else:
-                        new = mono[:pos] + ((var, exp - 1),) + mono[pos + 1:]
-                    acc = out.get(new, 0) + coeff * exp
-                    if acc:
-                        out[new] = acc
-                    elif new in out:
-                        del out[new]
+                    lowered = ((var, exp - 1),) if exp > 1 else ()
+                    pairs.append((mono[:pos] + lowered + mono[pos + 1:], coeff * exp))
                     break
-        return self._from_canonical(out)
+        return self._from_canonical(_collect(pairs))
 
     def derivative_at_zero(self, variables: Iterable[Var]) -> Fraction:
         """Iterated partial derivative, then every S- and R-family variable
@@ -308,7 +284,7 @@ class RatPoly:
     def substitute(self, replacements: Mapping[Var, "RatPoly"]) -> "RatPoly":
         """Replace variables by polynomials; unmentioned variables persist."""
         reps = {make_var(*v): poly for v, poly in replacements.items()}
-        total = RatPoly.zero()
+        pairs = []
         for mono, coeff in self._terms.items():
             term = RatPoly.const(coeff)
             for var, exp in mono:
@@ -316,8 +292,8 @@ class RatPoly:
                 if base is None:
                     base = RatPoly.variable(var)
                 term = term * base ** exp
-            total = total + term
-        return total
+            pairs.extend(term._terms.items())
+        return self._from_canonical(_collect(pairs))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -349,16 +325,11 @@ class RatPoly:
             raise ValueError("empty polynomial text")
         if s == "0":
             return cls.zero()
-        terms: dict[Mono, Fraction] = {}
+        pairs = []
         for chunk in re.findall(r"[+-]?[^+-]+", s):
-            sign = Fraction(1)
-            if chunk[0] in "+-":
-                if chunk[0] == "-":
-                    sign = Fraction(-1)
-                chunk = chunk[1:]
-            coeff = sign
-            mono: dict[Var, int] = {}
-            for piece in chunk.split("*"):
+            coeff = Fraction(-1 if chunk[0] == "-" else 1)
+            mono = []
+            for piece in chunk.lstrip("+-").split("*"):
                 num = re.fullmatch(r"(\d+)(?:/(\d+))?", piece)
                 if num:
                     coeff *= Fraction(int(num.group(1)), int(num.group(2) or 1))
@@ -366,15 +337,9 @@ class RatPoly:
                 var_m = re.fullmatch(r"([SRpq]\d+|s)(?:\^(\d+))?", piece)
                 if not var_m:
                     raise ValueError(f"malformed term piece {piece!r}")
-                var = parse_var_name(var_m.group(1))
-                mono[var] = mono.get(var, 0) + int(var_m.group(2) or 1)
-            key = normalize_mono(mono)
-            acc = terms.get(key, 0) + coeff
-            if acc:
-                terms[key] = acc
-            elif key in terms:
-                del terms[key]
-        return cls._from_canonical(terms)
+                mono.append((parse_var_name(var_m.group(1)), int(var_m.group(2) or 1)))
+            pairs.append((normalize_mono(tuple(mono)), coeff))
+        return cls._from_canonical(_collect(pairs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -386,15 +351,11 @@ class RatPoly:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RatPoly":
-        terms: dict[Mono, Fraction] = {}
+        pairs = []
         for entry in doc["terms"]:
             mono = normalize_mono({parse_var_name(n): e for n, e in entry["mono"].items()})
-            acc = terms.get(mono, 0) + Fraction(entry["coeff"])
-            if acc:
-                terms[mono] = acc
-            elif mono in terms:
-                del terms[mono]
-        return cls._from_canonical(terms)
+            pairs.append((mono, Fraction(entry["coeff"])))
+        return cls._from_canonical(_collect(pairs))
 
     def to_json(self) -> str:
         import json

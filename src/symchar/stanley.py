@@ -19,14 +19,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as iterperms
-from math import factorial, perm
+from math import factorial, perm, prod
 from typing import Sequence
 
 from symchar import perms
 from symchar.diagrams import partitions
-from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
+from symchar.functionals import (_multirect_factorization_sum, _owner_lists,
+                                 s_functional_multirect_symbolic)
 from symchar.perms import Perm
-from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
+from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _collect
 
 
 def stanley_character_poly(pi: Perm, r: int) -> RatPoly:
@@ -63,14 +64,13 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     wanted = {("p", i) for i in indices}
     if len(wanted) != len(indices):
         raise ValueError("indices must be distinct")
-    out: dict[Mono, Fraction] = {}
+    pairs = []
     for mono, coeff in poly.terms():
         p_part = {v: e for v, e in mono if v[0] == "p"}
         if set(p_part) != wanted or any(e != 1 for e in p_part.values()):
             continue
-        rest = tuple((v, e) for v, e in mono if v[0] != "p")
-        out[rest] = out.get(rest, Fraction(0)) + coeff
-    return RatPoly(out)
+        pairs.append((tuple((v, e) for v, e in mono if v[0] != "p"), coeff))
+    return RatPoly._from_canonical(_collect(pairs))
 
 
 def check_s_coefficient_formula(k: int, indices: Sequence[int],
@@ -135,7 +135,7 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
         if len(masks) < m2:
             continue  # some label would be the maximum of no s1-cycle
-        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+        adj = _owner_lists(m2, masks)
         for labeling in iterperms(range(1, m2 + 1)):
             counts = [0] * m2
             for a in adj:
@@ -162,12 +162,7 @@ def j_polynomial_via_stanley(k: int, r: int | None = None) -> RatPoly:
         deriv = derivative_via_stanley(poly, ms, r)
         if not deriv:
             continue
-        mults: dict[int, int] = {}
-        for j in ms:
-            mults[j] = mults.get(j, 0) + 1
-        denom = 1
-        for e in mults.values():
-            denom *= factorial(e)
+        mults = Counter(ms)
         mono = tuple((("S", j), e) for j, e in sorted(mults.items()))
-        terms[mono] = deriv / denom
+        terms[mono] = deriv / prod(map(factorial, mults.values()))
     return RatPoly._from_canonical(terms)

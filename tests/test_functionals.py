@@ -205,7 +205,8 @@ def test_r_vector_from_s_matches_free_cumulant_from_s():
         r_vector_from_s({2: Fraction(1), 4: Fraction(1)}, 4)
     with pytest.raises(TypeError):
         r_vector_from_s({2: 0.5, 3: 0}, 3)
-    for bad in ({2: 0.5, 3: 0.25, 4: 1.5}, {j: S(j) for j in range(2, 5)}):
+    for bad in ({2: 0.5, 3: 0.25, 4: 1.5}, {j: S(j) for j in range(2, 5)},
+                {2: '1/2', 3: '0', 4: '3'}, {2: 'x', 3: 1, 4: 3}):
         for fn in (r_vector_from_s, free_cumulant_from_s):
             with pytest.raises(TypeError):
                 fn(bad, 4)

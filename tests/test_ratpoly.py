@@ -81,6 +81,9 @@ def test_evaluate():
     # the whole assignment is validated, also the variables that do not occur
     with pytest.raises(TypeError):
         S(2).evaluate({("S", 2): 1, ("S", 3): 0.5})
+    # values must be int or Fraction; text is not parsed
+    with pytest.raises(TypeError):
+        S(2).evaluate({("S", 2): "1/2"})
     with pytest.raises(ValueError):
         S(2).evaluate({("S", 2): 1, ("S", 1): 0})
     with pytest.raises(KeyError, match="assignment missing variables: R2, S3"):
@@ -103,6 +106,8 @@ def test_canonical_text():
                        " - 35/2*S2^2 + 8*S2")
     assert str(RatPoly.zero()) == "0"
     assert str(RatPoly.const(Fraction(-5, 2))) == "-5/2"
+    with pytest.raises(TypeError):
+        RatPoly.const("1/2")
     assert str(P(1) * Q(1) ** 2 - P(1) ** 2 * Q(1)) == "p1*q1^2 - p1^2*q1"
 
 
@@ -251,6 +256,21 @@ TRUSTED_SITES = {
         stanley.j_polynomial_via_stanley(k) for k in range(1, 8)],
     "r_in_terms_of_s": lambda: [functionals.r_in_terms_of_s(k) for k in range(2, 19)],
     "s_in_terms_of_r": lambda: list(kerov.s_in_terms_of_r(18).values()),
+    # every path that merges terms, with sums that cancel where the path can
+    "_collect": lambda: [
+        (S(2) + S(3)) * (S(2) - S(3)),
+        (S(2) + S(3)) + (S(3) - S(2)),
+        RatPoly({((("S", 2), 1),): 1, ((("S", 3), 0), (("S", 2), 1)): -1, (): 2}),
+        (S(2) * S(3) + S(3) ** 2).substitute({("S", 3): -S(2)}),
+        (S(2) ** 3 * S(3) - S(3) * S(4))._diff(("S", 3)),
+        RatPoly.from_text("S2 + S3 - S2"),
+        RatPoly.from_text("S2 - S2"),
+        RatPoly.from_json_dict({"terms": [{"mono": {"S2": 1}, "coeff": "1"},
+                                          {"mono": {"S3": 1}, "coeff": "1"},
+                                          {"mono": {"S2": 1}, "coeff": "-1"}]}),
+        RatPoly.from_json_dict({"terms": [{"mono": {"S2": 1}, "coeff": "1"},
+                                          {"mono": {"S2": 1}, "coeff": "-1"}]}),
+        stanley.p_bracket(P(1) * Q(1) + P(1) * Q(2) - P(1) * P(2) + P(2), [1])],
 }
 
 
@@ -261,3 +281,26 @@ def test_trusted_constructor_sites_are_canonical(site):
     for poly in TRUSTED_SITES[site]():
         assert RatPoly(dict(poly.terms())) == poly
         assert all(type(c) is Fraction and c for _, c in poly.terms())
+
+
+def test_merged_terms_cancel():
+    # equal monomials sum, and a zero sum leaves no term
+    assert (S(2) + S(3)) * (S(2) - S(3)) == S(2) ** 2 - S(3) ** 2
+    assert len(list(((S(2) + S(3)) * (S(2) - S(3))).terms())) == 2
+    assert (S(2) * S(3) + S(3) ** 2).substitute({("S", 3): -S(2)}).is_zero()
+    assert (4 * S(3) + S(2) * S(3)).derivative_at_zero([("S", 3)]) == 4
+    assert RatPoly.from_text("S2 + S3 - S2") == S(3)
+    assert RatPoly.from_text("S2 - S2").is_zero()
+    assert RatPoly.from_text("S2*S3*S2") == S(2) ** 2 * S(3)
+    assert RatPoly.from_json_dict({"terms": [{"mono": {"S2": 1}, "coeff": "1"},
+                                             {"mono": {"S2": 1}, "coeff": "-1"}]}).is_zero()
+    assert stanley.p_bracket(P(1) * Q(1) + P(1) * Q(2) - P(1) * P(2), [1]) == Q(1) + Q(2)
+    assert RatPoly({((("S", 2), 1),): 1, ((("S", 3), 0), (("S", 2), 1)): -1}).is_zero()
+
+
+def test_constructor_validates_every_monomial():
+    # a zero coefficient does not skip the check of its monomial
+    with pytest.raises(ValueError, match="unknown variable family"):
+        RatPoly({((("X", 1), 1),): 0})
+    with pytest.raises(ValueError):
+        RatPoly({(("X", 1), 1): 0})
