@@ -21,7 +21,7 @@ _HOMES = {
                     "free_cumulant_multirect", "r_in_terms_of_s", "r_vector",
                     "r_vector_from_s", "s_functional_boxes", "s_functional_frobenius",
                     "s_functional_multirect", "s_vector", "scale_homogeneity_check"),
-    "kerov": ("KerovTriple", "kerov_polynomial_by_conversion", "kerov_polynomial_by_counting",
+    "kerov": ("kerov_polynomial_by_conversion", "kerov_polynomial_by_counting",
               "kerov_quadratic_derivative", "marriage_condition", "marriage_condition_flow",
               "s_in_terms_of_r"),
     "ratpoly": ("RatPoly", "interpolate_univariate"),

@@ -119,45 +119,11 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
         raise ValueError(f"malformed rational list {text!r}") from None
 
 
-class _Record:
-    """Base of an immutable value type whose fields are its __slots__: equal
-    and hashed by its field values, printed as Name(field=value, ...), and
-    never assigned to once __init__ has set each field by _set."""
-
-    __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class MultiRect(_Record):
+class MultiRect:
     """Multirectangular diagram p x q: stacked rectangles, block i of height
-    p_i and width q_i, widths weakly decreasing bottom-up."""
+    p_i and width q_i, widths weakly decreasing bottom-up.  An immutable
+    value: equal and hashed by (p, q), and never assigned to once __init__
+    has set both fields."""
 
     __slots__ = ("p", "q")
     p: tuple[Fraction, ...]
@@ -173,7 +139,28 @@ class MultiRect(_Record):
         for a, b in zip(q, q[1:]):
             if a < b:
                 raise ValueError("q must be weakly decreasing")
-        self._set(p=p, q=q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiRect:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __repr__(self):
+        return f"MultiRect(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return MultiRect, (self.p, self.q)
 
     @classmethod
     def from_strings(cls, p_text: str, q_text: str) -> "MultiRect":

@@ -7,9 +7,13 @@ independent cross-checks are provided: basis conversion from J_k via the
 Lagrange-inversion closed form of S_j(R), and a direct count for the
 quadratic derivatives.
 
-Both counts run as folds over one pass of perms.factorization_patterns, so
-after that pass their cost scales with the number of distinct intersection
-patterns (1,046 at k = 9), not with the k! pairs.
+The marriage condition reads a pair only through its intersection pattern
+(m2, masks), so it takes a pattern and a coloring, in two forms: the strict
+Hall subset condition and a transportation flow check in integers.  Both
+counts, and verify's comparison of the two forms, run as folds over one pass
+of perms.factorization_patterns, so after that pass their cost scales with
+the number of distinct intersection patterns (1,046 at k = 9), not with the
+k! pairs.
 """
 
 from __future__ import annotations
@@ -17,41 +21,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import perm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from symchar import perms
-from symchar.diagrams import _Record
 from symchar.functionals import _partition_sum
-from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
-
-
-class KerovTriple(_Record):
-    """A factorization of the canonical cycle plus a coloring of the
-    s2-cycles; colors[i] >= 2 belongs to the i-th cycle of cycles(sigma2)
-    and the color total equals |C(sigma1)| + |C(sigma2)|."""
-
-    __slots__ = ("sigma1", "sigma2", "colors")
-    sigma1: Perm
-    sigma2: Perm
-    colors: tuple[int, ...]
-
-    def __init__(self, sigma1: Perm, sigma2: Perm, colors: tuple[int, ...]):
-        k = len(sigma1)
-        if perms.compose(sigma1, sigma2) != perms.canonical_cycle(k):
-            raise ValueError("sigma1 o sigma2 must be the canonical cycle")
-        c1 = perms.cycles(sigma1)
-        c2 = perms.cycles(sigma2)
-        if len(colors) != len(c2):
-            raise ValueError("one color per sigma2-cycle required")
-        if any(c < 2 for c in colors):
-            raise ValueError("colors must be >= 2")
-        if sum(colors) != len(c1) + len(c2):
-            raise ValueError("color total must equal the total cycle count")
-        self._set(sigma1=sigma1, sigma2=sigma2, colors=colors)
 
 
 def _subset_counts(masks: Sequence[int], m2: int) -> list[int]:
@@ -75,113 +52,107 @@ def _strict_hall(counts: Sequence[int], colors: Sequence[int]) -> bool:
     return True
 
 
-def marriage_condition(t: KerovTriple) -> bool:
-    """The strict subset condition, checked over all 2^m - 2 nontrivial
-    subsets of s2-cycles."""
-    c2 = perms.cycles(t.sigma2)
-    masks = [sum(1 << j for j, c in enumerate(c2) if perms.cycles_intersect(cyc, c))
-             for cyc in perms.cycles(t.sigma1)]
-    return _strict_hall(_subset_counts(masks, len(c2)), t.colors)
+def _check_pattern(masks: Sequence[int], m2: int, colors: Sequence[int]) -> None:
+    if (len(colors) != m2 or any(c < 2 for c in colors) or sum(colors) != len(masks) + m2
+            or not all(0 < mask < 1 << m2 for mask in masks)):
+        raise ValueError("need masks in 1..2^m2-1 and m2 colors >= 2 totalling len(masks) + m2")
 
 
-def _max_flow(cap: dict[tuple, Fraction], source, sink):
-    """Exact max flow by shortest augmenting paths on rational capacities;
-    returns (value, residual capacities)."""
-    residual: dict[tuple, Fraction] = dict(cap)
+def marriage_condition(masks: Sequence[int], m2: int, colors: Sequence[int]) -> bool:
+    """The strict subset condition on a factorization pattern, checked over
+    all 2^m2 - 2 nontrivial subsets of s2-cycles.  masks[i] has bit j set iff
+    the i-th s1-cycle meets the j-th of the m2 s2-cycles, and colors[j] >= 2
+    is the color of the j-th s2-cycle, the colors totalling len(masks) + m2;
+    any other input raises ValueError."""
+    _check_pattern(masks, m2, colors)
+    return _strict_hall(_subset_counts(masks, m2), colors)
+
+
+def _max_flow(cap: dict[tuple, int], source, sink) -> tuple[int, dict[tuple, int]]:
+    """Max flow by shortest augmenting paths on integer capacities; returns
+    (value, residual capacities)."""
+    residual = dict(cap)
     adj: dict[object, set] = {}
     for u, v in cap:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-        residual.setdefault((v, u), Fraction(0))
-    total = Fraction(0)
+        residual.setdefault((v, u), 0)
+    total = 0
     while True:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
             u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in parent and residual.get((u, v), 0) > 0:
+            for v in adj[u]:
+                if v not in parent and residual[(u, v)] > 0:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
             return total, residual
-        bottleneck = None
+        path = []
         v = sink
         while parent[v] is not None:
-            u = parent[v]
-            r = residual[(u, v)]
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[arc] for arc in path)
+        for u, v in path:
             residual[(u, v)] -= bottleneck
             residual[(v, u)] += bottleneck
-            v = u
         total += bottleneck
 
 
-def _flow_with_forced_arc(arcs, m1, demands, forced, eps):
-    """Row sums 1, column sums demands, arc `forced` carrying at least eps;
+def _flow_with_forced_arc(arcs, m1, demands, forced):
+    """Row sums 1, column sums demands, arc `forced` carrying flow 1;
     returns the arc flows or None if infeasible."""
-    cap: dict[tuple, Fraction] = {}
-    for i in range(m1):
-        cap[("src", ("B", i))] = Fraction(1)
+    cap = {("src", ("B", i)): 1 for i in range(m1)}
     for j, d in enumerate(demands):
-        cap[(("G", j), "snk")] = Fraction(d)
-    big = Fraction(m1 + 1)
+        cap[(("G", j), "snk")] = d
     for i, j in arcs:
-        cap[(("B", i), ("G", j))] = big
+        cap[(("B", i), ("G", j))] = 1
     fi, fj = forced
-    cap[("src", ("B", fi))] -= eps
-    cap[(("G", fj), "snk")] -= eps
-    if cap[("src", ("B", fi))] < 0 or cap[(("G", fj), "snk")] < 0:
-        return None
+    cap[("src", ("B", fi))] = 0
+    cap[(("G", fj), "snk")] -= 1
     value, residual = _max_flow(cap, "src", "snk")
-    if value != Fraction(m1) - eps:
+    if value != m1 - 1:
         return None
-    flows = {}
-    for i, j in arcs:
-        sent = residual.get((("G", j), ("B", i)), Fraction(0))
-        flows[(i, j)] = sent + (eps if (i, j) == forced else Fraction(0))
-    return flows
+    return {(i, j): residual[(("G", j), ("B", i))] + ((i, j) == forced) for i, j in arcs}
 
 
-def marriage_condition_flow(t: KerovTriple) -> bool:
-    """Transportation reformulation: True iff the system
+def marriage_condition_flow(masks: Sequence[int], m2: int, colors: Sequence[int]) -> bool:
+    """Transportation reformulation of marriage_condition on the same
+    pattern: True iff the system
 
         sum_j x_{i,j} = 1 for each s1-cycle i,
         sum_i x_{i,j} = colors[j] - 1 for each s2-cycle j,
 
-    over arcs of intersecting cycles admits a strictly positive rational
-    solution.  Each arc is tested with a forced flow of 1/(k+1)!; convex
-    averaging of the per-arc witnesses then gives a strictly positive
-    solution, so the check is equivalent to strict feasibility."""
-    c1 = perms.cycles(t.sigma1)
-    c2 = perms.cycles(t.sigma2)
-    k = len(t.sigma1)
-    m1 = len(c1)
-    sets2 = [set(c) for c in c2]
-    arcs = [(i, j) for i, cyc in enumerate(c1) for j in range(len(c2))
-            if not sets2[j].isdisjoint(cyc)]
-    demands = [c - 1 for c in t.colors]
-    eps = Fraction(1, factorial(k + 1))
-    witnesses = []
+    over the arcs (i, j) with bit j of masks[i] set admits a strictly
+    positive rational solution.  The incidence matrix of this bipartite
+    system is totally unimodular, so the vertices of its polytope are 0/1:
+    an arc is positive at some solution iff some solution carries 1 on it.
+    Each arc is tested with a forced integer flow of 1, and the sum of the
+    per-arc witnesses, divided by their number, is a strictly positive
+    solution, so the check is equivalent to strict feasibility.  The input
+    is checked as in marriage_condition."""
+    _check_pattern(masks, m2, colors)
+    m1 = len(masks)
+    arcs = [(i, j) for i, mask in enumerate(masks) for j in range(m2) if mask >> j & 1]
+    demands = [c - 1 for c in colors]
+    total = dict.fromkeys(arcs, 0)
     for arc in arcs:
-        flows = _flow_with_forced_arc(arcs, m1, demands, arc, eps)
+        flows = _flow_with_forced_arc(arcs, m1, demands, arc)
         if flows is None:
             return False
-        witnesses.append(flows)
-    avg = {arc: sum((w[arc] for w in witnesses), Fraction(0)) / len(witnesses)
-           for arc in arcs}
-    if not all(x > 0 for x in avg.values()):
-        raise ArithmeticError("averaged flow is not strictly positive")
+        for a, x in flows.items():
+            total[a] += x
+    n = len(arcs)
+    if not all(x > 0 for x in total.values()):
+        raise ArithmeticError("summed flow is not strictly positive")
     for i in range(m1):
-        if sum((avg[a] for a in arcs if a[0] == i), Fraction(0)) != 1:
-            raise ArithmeticError(f"averaged flow leaves s1-cycle {i} unbalanced")
+        if sum(total[a] for a in arcs if a[0] == i) != n:
+            raise ArithmeticError(f"summed flow leaves s1-cycle {i} unbalanced")
     for j, d in enumerate(demands):
-        if sum((avg[a] for a in arcs if a[1] == j), Fraction(0)) != d:
-            raise ArithmeticError(f"averaged flow misses the demand of s2-cycle {j}")
+        if sum(total[a] for a in arcs if a[1] == j) != d * n:
+            raise ArithmeticError(f"summed flow misses the demand of s2-cycle {j}")
     return True
 
 
@@ -201,34 +172,27 @@ def _compositions_fixed(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def candidate_triples(k: int) -> Iterator[KerovTriple]:
-    """All triples meeting the factorization and degree conditions, before
-    the marriage filter."""
-    for s1, s2 in perms.factorizations_of_cycle(k):
-        m1 = perms.cycle_count(s1)
-        m2 = perms.cycle_count(s2)
-        if m1 < m2:
-            continue
-        for colors in _compositions_fixed(m1 + m2, m2):
-            yield KerovTriple(s1, s2, colors)
+def _candidate_patterns(k: int) -> Iterator[tuple[int, tuple[int, ...], int, Iterator]]:
+    """(m2, masks, multiplicity, colorings) for each factorization pattern
+    of the canonical k-cycle with m1 >= m2, before the marriage filter."""
+    for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
+        m1 = len(masks)
+        if m1 >= m2:
+            yield m2, masks, mult, _compositions_fixed(m1 + m2, m2)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def kerov_polynomial_by_counting(k: int) -> RatPoly:
-    """K_k with Sigma_k = K_k(R_2, R_3, ...): each triple passing the
-    marriage condition adds 1 to the coefficient of prod_i R_i^{s_i}, where
-    s_i is the number of s2-cycles colored i.  The marriage condition sees a
-    pair only through its intersection pattern, so the count folds over
-    perms.factorization_patterns."""
+    """K_k with Sigma_k = K_k(R_2, R_3, ...): each pair and coloring passing
+    the marriage condition adds 1 to the coefficient of prod_i R_i^{s_i},
+    where s_i is the number of s2-cycles colored i; the count adds each
+    pattern's multiplicity at once."""
     if k < 1:
         raise ValueError("k must be >= 1")
     terms: Counter = Counter()
-    for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
-        m1 = len(masks)
-        if m1 < m2:
-            continue
+    for m2, masks, mult, colorings in _candidate_patterns(k):
         counts = _subset_counts(masks, m2)
-        for colors in _compositions_fixed(m1 + m2, m2):
+        for colors in colorings:
             if _strict_hall(counts, colors):
                 mono = tuple((("R", c), e) for c, e in sorted(Counter(colors).items()))
                 terms[mono] += mult

@@ -1,6 +1,6 @@
 """Permutations of {1..k} in one-line notation, factorizations of the
-canonical long cycle, its rotation orbits, and the intersection-pattern
-tally of the factorizations of any permutation.
+canonical long cycle, and the intersection-pattern tally of the
+factorizations of any permutation.
 
 The tally is the one pass that every factorization sum of the package
 folds over.  For a k-cycle it runs as one flat necklace walk, a recursive
@@ -110,7 +110,9 @@ def factorizations_of_cycle(k: int) -> Iterator[tuple[Perm, Perm]]:
     """All pairs (s1, s2) with compose(s1, s2) equal to the canonical k-cycle.
 
     s1 runs over S(k) in lexicographic order and s2 = s1^{-1} o cycle, so the
-    stream is deterministic and has exactly k! entries.
+    stream is deterministic and has exactly k! entries.  No sum of the
+    package walks it (they fold over factorization_patterns); it is kept as
+    the brute-force reference for the tests and the benchmark harness.
     """
     target = canonical_cycle(k)
     for s1 in all_perms(k):
@@ -119,9 +121,17 @@ def factorizations_of_cycle(k: int) -> Iterator[tuple[Perm, Perm]]:
 
 def _walk_necklaces(k: int, visit: Callable[[list[int], list[int], int], None]) -> None:
     """Calls visit(t, s1, size) once per orbit of S(k) under conjugation by
-    the canonical k-cycle c, with t as rotation_orbits describes it, s1 =
-    c o t and the orbit size, in lexicographic order of d.  t and s1 are
-    lists that the walk reuses, so visit must copy what it keeps.
+    the canonical k-cycle c, with one representative t (0-based, t[x] the
+    image of x), s1 = c o t and the orbit size, in lexicographic order of
+    d.  t and s1 are lists that the walk reuses, so visit must copy what it
+    keeps.
+
+    Conjugating t by the cycle rotates its difference sequence
+    d(x) = t(x) - x mod k, and t is the one element of its orbit whose d is
+    the least of its rotations, a necklace.  A depth-first walk keeps only
+    prefixes that can still be the least rotation, d[n] >= d[n-p] with p the
+    period so far (Ruskey, Savage and Wang, J. Algorithms 13, 1992), and
+    accepts a full d iff p divides k; the orbit then has p elements.
 
     The walk is a plain recursion over the prefix of the difference
     sequence d.  The last two positions can only take the two points still
@@ -185,28 +195,6 @@ def _walk_necklaces(k: int, visit: Callable[[list[int], list[int], int], None]) 
     walk(0, 1)
 
 
-def rotation_orbits(k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """One t per orbit of S(k) under conjugation by the canonical k-cycle,
-    with the orbit size; t is 0-based (t[x] is the image of x).
-
-    Conjugating t by the cycle rotates its difference sequence
-    d(x) = t(x) - x mod k, and t is the one element of its orbit whose d is
-    the least of its rotations, a necklace.  A depth-first walk keeps only
-    prefixes that can still be the least rotation, d[n] >= d[n-p] with p the
-    period so far (Ruskey, Savage and Wang, J. Algorithms 13, 1992), and
-    accepts a full d iff p divides k; the orbit then has p elements.  The
-    representatives are collected in full, about (k-1)! of them, before the
-    iterator is returned.
-
-    >>> reps = list(rotation_orbits(4))
-    >>> len(reps), sum(size for _, size in reps)
-    (10, 24)
-    """
-    reps: list[tuple[tuple[int, ...], int]] = []
-    _walk_necklaces(k, lambda t, s1, size: reps.append((tuple(t), size)))
-    return iter(reps)
-
-
 def factorization_patterns(pi: Perm) -> Counter:
     """Tally of the factorizations s1 o s2 = pi by intersection pattern, up
     to the numbering of the s2-cycles.
@@ -223,7 +211,7 @@ def factorization_patterns(pi: Perm) -> Counter:
     relabeling of the canonical one, whose factorizations conjugation by the
     cycle maps onto factorizations with the same pattern up to renumbering
     the s2-cycles, so it visits one t per rotation orbit, in the necklace
-    walk of rotation_orbits, and adds the orbit size.  The counts are then
+    walk of _walk_necklaces, and adds the orbit size.  The counts are then
     those of the full pass with the s2-cycles of each pair renumbered, and
     every consumer (K, J, the multirect and quadratic sums, the Catalan
     check) folds over all colorings or labelings of the s2-cycles, so its
@@ -269,7 +257,3 @@ def factorization_patterns(pi: Perm) -> Counter:
         for t in itertools.permutations(points):
             add_pair(t, [target[v] for v in t], 1)
     return tally
-
-
-def cycles_intersect(c1: Iterable[int], c2: Iterable[int]) -> bool:
-    return not set(c1).isdisjoint(c2)

@@ -325,8 +325,11 @@ class RatPoly:
             raise ValueError("empty polynomial text")
         if s == "0":
             return cls.zero()
+        chunks = re.findall(r"[+-]?[^+-]+", s)
+        if "".join(chunks) != s:
+            raise ValueError(f"malformed polynomial text {text!r}")
         pairs = []
-        for chunk in re.findall(r"[+-]?[^+-]+", s):
+        for chunk in chunks:
             coeff = Fraction(-1 if chunk[0] == "-" else 1)
             mono = []
             for piece in chunk.lstrip("+-").split("*"):

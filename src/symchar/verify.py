@@ -216,11 +216,13 @@ def check_homogeneity(budget: int, max_k: int):
 
 def check_marriage_equivalence(max_k: int):
     for k in range(1, max_k + 1):
-        for t in kerov.candidate_triples(k):
-            subset = kerov.marriage_condition(t)
-            flow = kerov.marriage_condition_flow(t)
-            if subset != flow:
-                return False, f"k={k} triple={t}: subset {subset}, flow {flow}"
+        for m2, masks, _, colorings in kerov._candidate_patterns(k):
+            for colors in colorings:
+                subset = kerov.marriage_condition(masks, m2, colors)
+                flow = kerov.marriage_condition_flow(masks, m2, colors)
+                if subset != flow:
+                    return False, (f"k={k} m2={m2} masks={masks} colors={colors}: "
+                                   f"subset {subset}, flow {flow}")
     return True, ""
 
 

@@ -124,7 +124,7 @@ def test_criterion_7_marriage_equivalence():
     ok, detail = verify.check_marriage_equivalence(6)
     elapsed = time.monotonic() - start
     _report(7, "subset marriage check agrees with transportation flow check "
-               "on every candidate triple, k<=6 (<10min)",
+               "on every factorization pattern and coloring, k<=6 (<10min)",
             ok and elapsed < 600.0, f"{detail} elapsed={elapsed:.2f}s")
 
 

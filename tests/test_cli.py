@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from symchar import charoracle, functionals, verify
+from symchar import charoracle, functionals, kerov, verify
 from symchar.cli import main
 from symchar.diagrams import MultiRect
 from symchar.ratpoly import RatPoly
@@ -338,6 +338,19 @@ def test_verify_json_reports_failure_detail(capsys, monkeypatch):
     assert failed[0]["check"].startswith("catalan-minimal-factorizations")
     assert failed[0]["detail"] == "boom"
     assert all(set(c) == {"check", "status"} for c in checks if c["status"] == "pass")
+
+
+def test_marriage_check_reports_the_failing_pattern(capsys, monkeypatch):
+    monkeypatch.setattr(kerov, "marriage_condition_flow",
+                        lambda masks, m2, colors: not kerov.marriage_condition(masks, m2, colors))
+    ok, detail = verify.check_marriage_equivalence(3)
+    assert not ok
+    assert detail == "k=1 m2=1 masks=(1,) colors=(2,): subset True, flow False"
+    code, out, _ = run(capsys, "verify", "--max-n", "3", "--max-k", "3", "--json")
+    assert code == 2
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["check"] for c in failed] == ["marriage-subset-vs-flow[k<=3]"]
+    assert failed[0]["detail"] == detail
 
 
 LIBRARY = {"symchar", "symchar.cli", "symchar.charoracle", "symchar.diagrams",

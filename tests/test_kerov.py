@@ -10,8 +10,7 @@ from symchar.diagrams import MultiRect, partitions, partitions_up_to
 from symchar.functionals import (free_cumulant_from_s, r_in_terms_of_s, r_vector, r_vector_from_s,
                                  s_vector)
 from symchar.kerov import (
-    KerovTriple,
-    candidate_triples,
+    _candidate_patterns,
     kerov_polynomial_by_conversion,
     kerov_polynomial_by_counting,
     kerov_quadratic_derivative,
@@ -31,58 +30,46 @@ K_EXPECTED = {
     6: "R7 + 35*R5 + 35*R3*R2 + 84*R3",
 }
 
-THREE_CYCLE = (3, 1, 2)  # the 3-cycle 1 -> 3 -> 2 -> 1 in S(3)
-
-
-def test_triple_validation():
-    KerovTriple(THREE_CYCLE, THREE_CYCLE, (2,))
-    with pytest.raises(ValueError, match="^sigma1 o sigma2 must be the canonical cycle$"):
-        KerovTriple(THREE_CYCLE, (1, 2, 3), (2,))
-    with pytest.raises(ValueError, match="^colors must be >= 2$"):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (1,))
-    with pytest.raises(ValueError, match="^color total must equal the total cycle count$"):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (3,))
-    with pytest.raises(ValueError, match="^one color per sigma2-cycle required$"):
-        KerovTriple(THREE_CYCLE, THREE_CYCLE, (2, 2))
-
-
-def test_triple_is_an_immutable_value():
-    t = KerovTriple((2, 1, 3), (1, 3, 2), (2, 2))
-    assert repr(t) == "KerovTriple(sigma1=(2, 1, 3), sigma2=(1, 3, 2), colors=(2, 2))"
-    twin = KerovTriple((2, 1, 3), (1, 3, 2), (2, 2))
-    assert t == twin and hash(t) == hash(twin)
-    assert t != KerovTriple(THREE_CYCLE, THREE_CYCLE, (2,))
-    assert t != ((2, 1, 3), (1, 3, 2), (2, 2))
-    with pytest.raises(AttributeError, match="cannot assign to field 'colors'"):
-        t.colors = (3,)
-    assert t.colors == (2, 2)
-
-
 def test_marriage_single_cycle_vacuous():
-    t = KerovTriple(THREE_CYCLE, THREE_CYCLE, (2,))
-    assert marriage_condition(t)
-    assert marriage_condition_flow(t)
+    # one s2-cycle, met by the one s1-cycle: no nontrivial subset to check
+    assert marriage_condition((1,), 1, (2,))
+    assert marriage_condition_flow((1,), 1, (2,))
 
 
 def test_marriage_failing_transposition():
     # sigma1 = (1 2), sigma2 = (2 3): the fixed point {1} of sigma2 meets
     # only one sigma1-cycle, but its color demands one husband exclusively.
-    t = KerovTriple((2, 1, 3), (1, 3, 2), (2, 2))
-    assert not marriage_condition(t)
-    assert not marriage_condition_flow(t)
+    # s2-cycles (1), (2 3) are bits 0, 1; s1-cycles (1 2), (3) meet 3 and 2.
+    assert not marriage_condition((2, 3), 2, (2, 2))
+    assert not marriage_condition_flow((2, 3), 2, (2, 2))
+
+
+@pytest.mark.parametrize("masks, m2, colors", [
+    ((1,), 1, (2, 2)),      # one color too many
+    ((2, 3), 2, (3, 1)),    # a color below 2
+    ((2, 3), 2, (2, 3)),    # total 5, not 2 + 2
+    ((0, 3), 2, (2, 2)),    # an s1-cycle meeting no s2-cycle
+    ((4, 3), 2, (2, 2)),    # a third s2-cycle
+])
+def test_marriage_rejects_an_inconsistent_pattern(masks, m2, colors):
+    for condition in (marriage_condition, marriage_condition_flow):
+        with pytest.raises(ValueError, match="^need masks in 1..2"):
+            condition(masks, m2, colors)
 
 
 def test_color_sum_invariant():
     for k in range(1, 6):
-        for t in candidate_triples(k):
-            c1 = perms.cycles(t.sigma1)
-            assert sum(c - 1 for c in t.colors) == len(c1)
+        for _, masks, _, colorings in _candidate_patterns(k):
+            for colors in colorings:
+                assert sum(c - 1 for c in colors) == len(masks)
 
 
-@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 8))
 def test_marriage_equivalence(k):
-    for t in candidate_triples(k):
-        assert marriage_condition(t) == marriage_condition_flow(t), t
+    for m2, masks, _, colorings in _candidate_patterns(k):
+        for colors in colorings:
+            assert marriage_condition(masks, m2, colors) == \
+                marriage_condition_flow(masks, m2, colors), (m2, masks, colors)
 
 
 @pytest.mark.parametrize("k", sorted(K_EXPECTED))
@@ -95,9 +82,13 @@ def test_k5_r2r2_triple_count():
     assert kerov_polynomial_by_counting(5).coefficient_of({("R", 2): 2}) == 5
     assert kerov_polynomial_by_counting(5).derivative_at_zero(
         [("R", 2), ("R", 2)]) == 10
-    passing = sum(
-        1 for t in candidate_triples(5)
-        if t.colors == (2, 2) and marriage_condition(t))
+    # by a walk over all 120 pairs: two s2-cycles colored 2 need two s1-cycles
+    passing = 0
+    for s1, s2 in perms.factorizations_of_cycle(5):
+        c1, c2 = perms.cycles(s1), perms.cycles(s2)
+        if len(c1) == len(c2) == 2:
+            masks = [sum(1 << j for j, c in enumerate(c2) if set(cyc) & set(c)) for cyc in c1]
+            passing += marriage_condition(masks, 2, (2, 2))
     assert passing == 5
 
 

@@ -127,6 +127,15 @@ def test_text_round_trip():
         assert RatPoly.from_text(str(poly)) == poly
 
 
+def test_from_text_rejects_a_sign_without_a_term():
+    for text in ["S2--S3", "S2+-S3", "S2+", "-"]:
+        with pytest.raises(ValueError, match="^malformed polynomial text"):
+            RatPoly.from_text(text)
+    poly = RatPoly.from_text("S2 - S3")
+    assert poly == S(2) - S(3) and str(poly) == "-S3 + S2"
+    assert RatPoly.from_text(str(poly)) == poly
+
+
 def test_json_round_trip():
     poly = R(6) + 15 * R(4) + 5 * R(2) ** 2 + 8 * R(2)
     assert RatPoly.from_json(poly.to_json()) == poly
