@@ -20,7 +20,7 @@ _HOMES = {
     "functionals": ("free_cumulant_by_interpolation", "free_cumulant_from_s",
                     "free_cumulant_multirect", "r_in_terms_of_s", "r_vector",
                     "r_vector_from_s", "s_functional_boxes", "s_functional_frobenius",
-                    "s_functional_multirect", "s_vector", "scale_homogeneity_check"),
+                    "s_functional_multirect", "s_vector"),
     "kerov": ("kerov_polynomial_by_conversion", "kerov_polynomial_by_counting",
               "kerov_quadratic_derivative", "marriage_condition", "marriage_condition_flow",
               "s_in_terms_of_r"),

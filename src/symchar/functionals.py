@@ -286,15 +286,3 @@ def free_cumulant_multirect(m: MultiRect, k: int) -> Fraction:
             raise ValueError("k must be >= 2")
         return Fraction(0)
     return free_cumulant_multirect_symbolic(len(m.p), k).evaluate(m.assignment())
-
-
-def scale_homogeneity_check(rows: Partition, k: int, s: int) -> bool:
-    """True iff S_k(s.rows) = s^k S_k(rows) and R_k(s.rows) = s^k R_k(rows)
-    hold exactly."""
-    if s < 1:
-        raise ValueError("dilation factor must be >= 1")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    small, big = s_vector(rows, k), s_vector(dilate(rows, s), k)
-    return (big[k] == s ** k * small[k]
-            and free_cumulant_from_s(big, k) == s ** k * free_cumulant_from_s(small, k))

@@ -75,23 +75,8 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
-def cycle_count(p: Perm) -> int:
-    k = len(p)
-    seen = [False] * (k + 1)
-    count = 0
-    for start in range(1, k + 1):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x - 1]
-    return count
-
-
 def sign(p: Perm) -> int:
-    return 1 if (len(p) - cycle_count(p)) % 2 == 0 else -1
+    return 1 if (len(p) - len(cycles(p))) % 2 == 0 else -1
 
 
 def canonical_cycle(k: int) -> Perm:
@@ -250,7 +235,7 @@ def factorization_patterns(pi: Perm) -> Counter:
         masks.sort()
         tally[b.bit_length() - 1, tuple(masks)] += weight
 
-    if cycle_count(pi) == 1:
+    if len(cycles(pi)) == 1:
         _walk_necklaces(k, add_pair)
     else:
         target = [v - 1 for v in pi]

@@ -50,14 +50,6 @@ def pq_bracket(poly: RatPoly, js: Sequence[int]) -> Fraction:
     return poly.coefficient_of(mono)
 
 
-def derivative_via_stanley(poly: RatPoly, js: Sequence[int], r: int) -> Fraction:
-    """Iterated S-derivative at zero read off as the coefficient of
-    p_1 q_1^{j_1-1} ... p_l q_l^{j_l-1}; needs r >= l blocks."""
-    if r < len(js):
-        raise ValueError(f"need at least {len(js)} blocks, polynomial built with {r}")
-    return pq_bracket(poly, js)
-
-
 def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     """[p_{i_1} ... p_{i_s}] with the q-variables kept: the sub-polynomial of
     terms whose p-part is exactly one power of each listed p-index."""
@@ -73,15 +65,13 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     return RatPoly._from_canonical(_collect(pairs))
 
 
-def check_s_coefficient_formula(k: int, indices: Sequence[int],
-                               q_values: Sequence[object] | None = None) -> bool:
+def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:
     """True iff, with p treated as variables and q as constants,
 
         [p_{i_1} ... p_{i_s}] S_k = (-1)^{s-1} (k-1)(k-2)...(k-s+1) q_{i_s}^{k-s}
 
     for 1 <= s <= k - 1, and 0 otherwise.  The left side is extracted from
-    the symbolic multirectangular S_k; the comparison is polynomial in q
-    unless concrete q_values are supplied.
+    the symbolic multirectangular S_k and compared as a polynomial in q.
     """
     indices = tuple(indices)
     if not indices or list(indices) != sorted(set(indices)):
@@ -94,21 +84,7 @@ def check_s_coefficient_formula(k: int, indices: Sequence[int],
         expected = RatPoly.variable(("q", indices[-1])) ** (k - s) * coeff
     else:
         expected = RatPoly.zero()
-    if q_values is None:
-        return got == expected
-    assignment = {("q", i): v for i, v in enumerate(q_values, 1)}
-    return got.evaluate(assignment) == expected.evaluate(assignment)
-
-
-def check_bracket_identity(poly: RatPoly, j1: int, j2: int) -> bool:
-    """True iff (j1+j2-1) [p_1 q_1^{j1+j2-1}] F = -[p_1 p_2 q_2^{j1+j2-2}] F
-    holds exactly for the given multirectangular polynomial."""
-    if j1 < 2 or j2 < 2:
-        raise ValueError("j1, j2 must be >= 2")
-    m = j1 + j2
-    lhs = (m - 1) * poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1})
-    rhs = -poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2})
-    return lhs == rhs
+    return got == expected
 
 
 def j_monomial_multisets(k: int) -> list[tuple[int, ...]]:
@@ -149,17 +125,17 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     return RatPoly._from_canonical(terms)
 
 
-def j_polynomial_via_stanley(k: int, r: int | None = None) -> RatPoly:
+def j_polynomial_via_stanley(k: int) -> RatPoly:
     """J_k reconstructed from coefficient extraction on the character's
-    multirectangular polynomial, an independent route to the same object."""
+    multirectangular polynomial, an independent route to the same object.
+    The polynomial has one block per S-factor of the longest monomial."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     multisets = j_monomial_multisets(k)
-    l_max = max(len(m) for m in multisets)
-    if r is None:
-        r = l_max
-    poly = stanley_character_poly(perms.canonical_cycle(k), r)
+    poly = stanley_character_poly(perms.canonical_cycle(k), max(map(len, multisets)))
     terms: dict[Mono, Fraction] = {}
     for ms in multisets:
-        deriv = derivative_via_stanley(poly, ms, r)
+        deriv = pq_bracket(poly, ms)
         if not deriv:
             continue
         mults = Counter(ms)

@@ -20,7 +20,6 @@ from symchar.functionals import (
     s_functional_multirect,
     s_functional_multirect_symbolic,
     s_vector,
-    scale_homogeneity_check,
 )
 from symchar.ratpoly import RatPoly, S, dilation_var
 
@@ -283,19 +282,10 @@ def test_multirect_homogeneity_symbolic(k):
 
 
 def test_scale_homogeneity_examples():
-    assert scale_homogeneity_check((3, 1), 3, 1)
     assert s_functional_boxes((2, 2), 4) == 16 * s_functional_boxes((1,), 4) == 8
     r4 = free_cumulant_from_s(s_vector((4, 4, 2, 2), 4), 4)
     assert r4 == 16 * -6
     assert dilate((2, 1), 2) == (4, 4, 2, 2)
-
-
-def test_scale_homogeneity_sweep():
-    for s in (2, 3, 4, 5, 6):
-        n_cap = 36 // (s * s)
-        for rows in partitions_up_to(n_cap):
-            for k in range(2, 7):
-                assert scale_homogeneity_check(rows, k, s)
 
 
 def test_r_from_s_truncation():

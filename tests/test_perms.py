@@ -101,7 +101,7 @@ def test_factorizations_lex_order():
 def test_minimal_factorizations_catalan(k):
     minimal = sum(
         1 for s1, s2 in perms.factorizations_of_cycle(k)
-        if perms.cycle_count(s1) + perms.cycle_count(s2) == k + 1)
+        if len(perms.cycles(s1)) + len(perms.cycles(s2)) == k + 1)
     assert minimal == CATALAN[k]
     assert CATALAN[k] == comb(2 * k, k) // (k + 1)
 
@@ -222,7 +222,7 @@ def _orbit_tally_reference(k):
 def test_factorization_patterns_raw_tally(pi):
     # keys and weights as they are, not only up to renumbering the s2-cycles;
     # any k-cycle is tallied as the canonical one
-    assert perms.cycle_count(pi) == 1
+    assert len(perms.cycles(pi)) == 1
     assert perms.factorization_patterns(pi) == _orbit_tally_reference(len(pi))
 
 

@@ -10,9 +10,7 @@ from symchar.charoracle import normalized_character_general
 from symchar.diagrams import MultiRect
 from symchar.ratpoly import P, Q, RatPoly, S
 from symchar.stanley import (
-    check_bracket_identity,
     check_s_coefficient_formula,
-    derivative_via_stanley,
     j_monomial_multisets,
     j_polynomial_by_counting,
     j_polynomial_via_stanley,
@@ -83,27 +81,23 @@ def test_s_coefficient_formula_sweep():
         for s in range(1, k + 2):
             assert check_s_coefficient_formula(k, tuple(range(1, s + 1)))
             assert check_s_coefficient_formula(k, tuple(range(2, s + 2)))
-    # concrete q values agree too
-    assert check_s_coefficient_formula(4, (1, 3), q_values=(2, 5, 3))
 
 
 def test_derivative_via_stanley_on_s_monomials():
     for m in (2, 3, 4):
         poly = stanley.s_functional_multirect_symbolic(2, m)
         for j in (2, 3, 4):
-            assert derivative_via_stanley(poly, (j,), 2) == (1 if j == m else 0)
+            assert pq_bracket(poly, (j,)) == (1 if j == m else 0)
     # product S2*S3: both orders give 1
     prod = (stanley.s_functional_multirect_symbolic(2, 2)
             * stanley.s_functional_multirect_symbolic(2, 3))
-    assert derivative_via_stanley(prod, (2, 3), 2) == 1
-    assert derivative_via_stanley(prod, (3, 2), 2) == 1
-    with pytest.raises(ValueError):
-        derivative_via_stanley(prod, (2, 3), 1)
+    assert pq_bracket(prod, (2, 3)) == 1
+    assert pq_bracket(prod, (3, 2)) == 1
 
 
 def test_derivative_via_stanley_on_character():
     poly = stanley_character_poly(perms.canonical_cycle(3), 1)
-    assert derivative_via_stanley(poly, (4,), 1) == 1
+    assert pq_bracket(poly, (4,)) == 1
     assert pq_bracket(poly, (2,)) == 1  # J_3 has S_2 with coefficient 1
 
 
@@ -114,12 +108,23 @@ def test_j_polynomials_match_display(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_j_count_equals_stanley_extraction(k):
-    assert j_polynomial_by_counting(k) == j_polynomial_via_stanley(k, r=k)
+    assert j_polynomial_by_counting(k) == j_polynomial_via_stanley(k)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_j_via_stanley_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        j_polynomial_via_stanley(k)
 
 
 def test_j_extraction_independent_of_extra_blocks():
-    for k in (3, 4, 5):
-        assert j_polynomial_via_stanley(k) == j_polynomial_via_stanley(k, r=k)
+    # an empty top block leaves the r-block polynomial, so the brackets that
+    # J_k reads need only as many blocks as its longest monomial has factors
+    for k in range(1, 6):
+        pi = perms.canonical_cycle(k)
+        for r in (1, 2, 3):
+            emptied = stanley_character_poly(pi, r + 1).substitute({("p", r + 1): RatPoly.zero()})
+            assert emptied == stanley_character_poly(pi, r), (k, r)
 
 
 def test_order_does_not_matter():
@@ -132,11 +137,18 @@ def test_order_does_not_matter():
             assert len(values) == 1, (k, ms, values)
 
 
+def _bracket_identity_holds(poly, j1, j2):
+    # (j1+j2-1) [p_1 q_1^{j1+j2-1}] F = -[p_1 p_2 q_2^{j1+j2-2}] F
+    m = j1 + j2
+    return ((m - 1) * poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1})
+            == -poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2}))
+
+
 def test_bracket_identity_on_s_monomial():
     # F = S_{j1+j2}: both sides reduce to the single-S coefficient formula
     for j1, j2 in ((2, 2), (2, 3), (3, 4)):
         poly = stanley.s_functional_multirect_symbolic(2, j1 + j2)
-        assert check_bracket_identity(poly, j1, j2)
+        assert _bracket_identity_holds(poly, j1, j2)
 
 
 def test_bracket_identity_quadratic_vanishes():
@@ -145,15 +157,7 @@ def test_bracket_identity_quadratic_vanishes():
     m = 4  # j1 = j2 = 2
     assert poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1}) == 0
     assert poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2}) == 0
-    assert check_bracket_identity(poly, 2, 2)
-
-
-def test_bracket_identity_on_characters():
-    for k in range(1, 7):
-        poly = stanley_character_poly(perms.canonical_cycle(k), 2)
-        for j1 in range(2, 6):
-            for j2 in range(j1, 8 - j1):
-                assert check_bracket_identity(poly, j1, j2), (k, j1, j2)
+    assert _bracket_identity_holds(poly, 2, 2)
 
 
 def test_graded_leading_terms():

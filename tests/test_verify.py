@@ -4,9 +4,10 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar import functionals, verify
+from symchar import functionals, stanley, verify
 from symchar.charoracle import normalized_character, normalized_character_general
 from symchar.diagrams import MultiRect, conjugate
+from symchar.ratpoly import P, Q
 
 
 def _partitions(n_max):
@@ -75,3 +76,33 @@ def test_sigma_beta_set_vs_mn_random(rows, data):
     sigma = normalized_character(rows, k)
     assert sigma == normalized_character_general(rows, (k,))
     assert normalized_character(conjugate(rows), k) == (-1) ** (k - 1) * sigma
+
+
+def _failed(results):
+    return {r.name: r.detail for r in results if not r.passed}
+
+
+def test_homogeneity_reports_the_failing_dilation(monkeypatch):
+    # S_3 of the dilated diagram 2.(1,) = (2, 2) is off by one
+    s_vector = functionals.s_vector
+
+    def off_by_one(diagram, k_max):
+        out = s_vector(diagram, k_max)
+        if diagram == (2, 2) and 3 in out:
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(functionals, "s_vector", off_by_one)
+    assert verify.check_homogeneity(36, 6) == (False, "lam=(1,) k=3 s=2")
+    failed = _failed(verify.run_checks(3, 3))
+    assert failed["homogeneity[n*s^2<=36,k<=3]"] == "lam=(1,) k=3 s=2"
+
+
+def test_bracket_identity_reports_the_failing_pair(monkeypatch):
+    # an extra p_1 q_1^3 breaks the identity at j1 + j2 = 4 only
+    stanley_character_poly = stanley.stanley_character_poly
+    monkeypatch.setattr(stanley, "stanley_character_poly",
+                        lambda pi, r: stanley_character_poly(pi, r) + P(1) * Q(1) ** 3)
+    assert verify.check_bracket_identity(6, 7) == (False, "k=1 j1=2 j2=2")
+    failed = _failed(verify.run_checks(3, 3))
+    assert failed["bracket-identity[k<=3,j1+j2<=7]"] == "k=1 j1=2 j2=2"
