@@ -24,7 +24,7 @@ _HOMES = {
     "kerov": ("kerov_polynomial_by_conversion", "kerov_polynomial_by_counting",
               "kerov_quadratic_derivative", "marriage_condition", "marriage_condition_flow",
               "s_in_terms_of_r"),
-    "ratpoly": ("RatPoly", "interpolate_univariate"),
+    "ratpoly": ("RatPoly",),
     "stanley": ("j_polynomial_by_counting", "j_polynomial_via_stanley",
                 "stanley_character_poly"),
 }

@@ -218,22 +218,26 @@ def r_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
     return r_vector_from_s(s_vector(rows, k_max), k_max)
 
 
+def _dilation_difference(rows: Partition, k: int, order: int) -> Fraction:
+    """The order-th finite difference at s = 0 of s -> Sigma_{k-1}(s.rows),
+    summed in integers over one common denominator:
+
+        sum_{s=1..order} (-1)^(order-s) C(order,s) Sigma_{k-1}(s.rows),
+
+    the s = 0 term dropping, as Sigma_{k-1} vanishes on the empty diagram."""
+    values = [normalized_character(dilate(rows, s), k - 1) for s in range(1, order + 1)]
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(sum((-1) ** (order - s) * comb(order, s) * v.numerator * (den // v.denominator)
+                        for s, v in enumerate(values, 1)), den)
+
+
 def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     """R_k as the coefficient of s^k in s -> Sigma_{k-1} of the s-dilated
-    diagram, a polynomial of degree k: the leading coefficient of its
-    interpolant at the nodes s = 0..k (s = 0 is the empty diagram, where the
-    normalized character vanishes), read as the k-th finite difference
-
-        R_k = sum_{s=0..k} (-1)^(k-s) C(k,s) Sigma_{k-1}(s.rows) / k!.
-    """
+    diagram, a polynomial of degree k: its k-th finite difference at s = 0,
+    _dilation_difference(rows, k, k), over k!."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    rows = check_partition(rows)
-    values = [normalized_character(dilate(rows, s), k - 1) for s in range(1, k + 1)]
-    den = lcm(*(v.denominator for v in values))
-    total = sum((-1) ** (k - s) * comb(k, s) * v.numerator * (den // v.denominator)
-                for s, v in enumerate(values, 1))
-    return Fraction(total, factorial(k) * den)
+    return _dilation_difference(check_partition(rows), k, k) / factorial(k)
 
 
 def _owner_lists(m2: int, masks: Sequence[int]) -> list[list[int]]:

@@ -9,16 +9,17 @@ quadratic derivatives.
 
 The marriage condition reads a pair only through its intersection pattern
 (m2, masks), so it takes a pattern and a coloring, in two forms: the strict
-Hall subset condition and a transportation flow check in integers.  Both
-counts, and verify's comparison of the two forms, run as folds over one pass
-of perms.factorization_patterns, so after that pass their cost scales with
-the number of distinct intersection patterns (1,046 at k = 9), not with the
-k! pairs.
+Hall subset condition, and a transportation check that seeks, for each arc,
+an assignment of s1-cycles to s2-cycles through it by augmenting paths.
+Both counts, and verify's comparison of the two forms, run as folds over one
+pass of perms.factorization_patterns, so after that pass their cost scales
+with the number of distinct intersection patterns (1,046 at k = 9), not with
+the k! pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
@@ -68,54 +69,31 @@ def marriage_condition(masks: Sequence[int], m2: int, colors: Sequence[int]) -> 
     return _strict_hall(_subset_counts(masks, m2), colors)
 
 
-def _max_flow(cap: dict[tuple, int], source, sink) -> tuple[int, dict[tuple, int]]:
-    """Max flow by shortest augmenting paths on integer capacities; returns
-    (value, residual capacities)."""
-    residual = dict(cap)
-    adj: dict[object, set] = {}
-    for u, v in cap:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-        residual.setdefault((v, u), 0)
-    total = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return total, residual
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(residual[arc] for arc in path)
-        for u, v in path:
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-        total += bottleneck
-
-
-def _flow_with_forced_arc(arcs, m1, demands, forced):
-    """Row sums 1, column sums demands, arc `forced` carrying flow 1;
-    returns the arc flows or None if infeasible."""
-    cap = {("src", ("B", i)): 1 for i in range(m1)}
-    for j, d in enumerate(demands):
-        cap[(("G", j), "snk")] = d
-    for i, j in arcs:
-        cap[(("B", i), ("G", j))] = 1
+def _forced_assignment(masks: Sequence[int], m2: int, room: Sequence[int],
+                       forced: tuple[int, int]) -> list[list[int]] | None:
+    """Assign every s1-cycle i to one s2-cycle j that it meets (bit j of
+    masks[i] set), s2-cycle j taking room[j] of them, with the arc
+    forced = (i, j) fixed first.  Kuhn's augmenting paths over the
+    s2-cycles, each with its room as capacity; returns the s1-cycles that
+    each s2-cycle holds, or None if no such assignment exists."""
     fi, fj = forced
-    cap[("src", ("B", fi))] = 0
-    cap[(("G", fj), "snk")] -= 1
-    value, residual = _max_flow(cap, "src", "snk")
-    if value != m1 - 1:
-        return None
-    return {(i, j): residual[(("G", j), ("B", i))] + ((i, j) == forced) for i, j in arcs}
+    held: list[list[int]] = [[] for _ in range(m2)]
+    held[fj].append(fi)
+
+    def place(i: int, seen: set[int]) -> bool:
+        for j in range(m2):
+            if masks[i] >> j & 1 and j not in seen:
+                seen.add(j)
+                if len(held[j]) < room[j]:
+                    held[j].append(i)
+                    return True
+                for pos, other in enumerate(held[j]):
+                    if other != fi and place(other, seen):
+                        held[j][pos] = i
+                        return True
+        return False
+
+    return held if all(i == fi or place(i, set()) for i in range(len(masks))) else None
 
 
 def marriage_condition_flow(masks: Sequence[int], m2: int, colors: Sequence[int]) -> bool:
@@ -136,21 +114,22 @@ def marriage_condition_flow(masks: Sequence[int], m2: int, colors: Sequence[int]
     _check_pattern(masks, m2, colors)
     m1 = len(masks)
     arcs = [(i, j) for i, mask in enumerate(masks) for j in range(m2) if mask >> j & 1]
-    demands = [c - 1 for c in colors]
+    room = [c - 1 for c in colors]
     total = dict.fromkeys(arcs, 0)
     for arc in arcs:
-        flows = _flow_with_forced_arc(arcs, m1, demands, arc)
-        if flows is None:
+        held = _forced_assignment(masks, m2, room, arc)
+        if held is None:
             return False
-        for a, x in flows.items():
-            total[a] += x
+        for j, cycles in enumerate(held):
+            for i in cycles:
+                total[(i, j)] += 1
     n = len(arcs)
     if not all(x > 0 for x in total.values()):
         raise ArithmeticError("summed flow is not strictly positive")
     for i in range(m1):
         if sum(total[a] for a in arcs if a[0] == i) != n:
             raise ArithmeticError(f"summed flow leaves s1-cycle {i} unbalanced")
-    for j, d in enumerate(demands):
+    for j, d in enumerate(room):
         if sum(total[a] for a in arcs if a[1] == j) != d * n:
             raise ArithmeticError(f"summed flow misses the demand of s2-cycle {j}")
     return True

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 CACHE_SIZE = 256  # entries kept by each lru_cache of polynomial results
 
@@ -390,34 +390,3 @@ def Q(i: int) -> RatPoly:
 
 def dilation_var() -> RatPoly:
     return RatPoly.variable(("s", 1))
-
-
-def interpolate_univariate(points: Sequence[tuple], max_degree: int) -> RatPoly:
-    """Exact Lagrange interpolation in the dilation variable s.
-
-    Requires at least max_degree + 1 points with distinct abscissae.  Points
-    beyond the first max_degree + 1 must be consistent with the degree bound,
-    otherwise ValueError("degree bound violated") is raised.
-    """
-    pts = [(_as_fraction(x), _as_fraction(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("abscissae must be distinct")
-    if len(pts) < max_degree + 1:
-        raise ValueError(f"need at least {max_degree + 1} points, got {len(pts)}")
-    base, rest = pts[:max_degree + 1], pts[max_degree + 1:]
-    svar = dilation_var()
-    poly = RatPoly.zero()
-    for i, (xi, yi) in enumerate(base):
-        if not yi:
-            continue
-        basis = RatPoly.const(yi)
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            basis = basis * (svar - RatPoly.const(xj)) * Fraction(1, xi - xj)
-        poly = poly + basis
-    for x, y in rest:
-        if poly.evaluate({("s", 1): x}) != y:
-            raise ValueError("degree bound violated")
-    return poly

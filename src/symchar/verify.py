@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from symchar import charoracle, functionals, kerov, perms, stanley
 from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
-from symchar.ratpoly import RatPoly, interpolate_univariate
+from symchar.ratpoly import RatPoly
 
 
 class CheckResult(NamedTuple):
@@ -106,7 +106,7 @@ def check_eval_vs_oracle(max_n: int, max_k: int):
     for rows in partitions_up_to(max_n):
         top = min(sum(rows), max_k)
         svals = functionals.s_vector(rows, top + 1)
-        rvals = functionals.r_vector(rows, top + 1)
+        rvals = functionals.r_vector_from_s(svals, top + 1)
         s_assign = {("S", j): v for j, v in svals.items()}
         r_assign = {("R", j): v for j, v in rvals.items()}
         for k in range(1, top + 1):
@@ -144,16 +144,15 @@ def check_s_coefficient_formula(max_k: int):
 
 
 def check_bracket_identity(max_k: int, sum_cap: int):
-    """(j1+j2-1) [p_1 q_1^{j1+j2-1}] F = -[p_1 p_2 q_2^{j1+j2-2}] F for F the
-    two-block character polynomial of the k-cycle, j1 + j2 <= sum_cap."""
+    """(m-1) [p_1 q_1^{m-1}] F = -[p_1 p_2 q_2^{m-2}] F for F the two-block
+    character polynomial of the k-cycle and m = j1 + j2 <= sum_cap, j1, j2 >= 2:
+    the identity reads the pair only through its sum m."""
     for k in range(1, max_k + 1):
         poly = stanley.stanley_character_poly(perms.canonical_cycle(k), 2)
-        for j1 in range(2, sum_cap - 1):
-            for j2 in range(j1, sum_cap - j1 + 1):
-                m = j1 + j2
-                lhs = (m - 1) * poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1})
-                if lhs != -poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2}):
-                    return False, f"k={k} j1={j1} j2={j2}"
+        for m in range(4, sum_cap + 1):
+            lhs = (m - 1) * poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1})
+            if lhs != -poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2}):
+                return False, f"k={k} m={m}"
     return True, ""
 
 
@@ -259,17 +258,12 @@ def check_quadratic_vs_derivative(max_k: int):
 
 
 def check_dilation_polynomiality(max_n: int, max_k: int):
-    """s -> Sigma_{k-1} of the s-dilated diagram fits a polynomial of degree
-    at most k even with one extra node."""
+    """s -> Sigma_{k-1} of the s-dilated diagram is a polynomial of degree
+    at most k: its (k+1)-th finite difference vanishes."""
     for rows in partitions_up_to(min(max_n, 4)):
         for k in range(2, max_k + 1):
-            points = [(0, Fraction(0))]
-            points += [(s, charoracle.normalized_character(dilate(rows, s), k - 1))
-                       for s in range(1, k + 2)]
-            try:
-                interpolate_univariate(points, k)
-            except ValueError as exc:
-                return False, f"lam={rows} k={k}: {exc}"
+            if functionals._dilation_difference(rows, k, k + 1):
+                return False, f"lam={rows} k={k}: degree bound violated"
     return True, ""
 
 

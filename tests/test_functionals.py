@@ -8,6 +8,7 @@ import pytest
 from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
+    _dilation_difference,
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
     free_cumulant_multirect,
@@ -240,6 +241,16 @@ def test_free_cumulant_by_interpolation_examples():
     assert free_cumulant_by_interpolation((2, 1), 2) == 3
     assert free_cumulant_by_interpolation((2, 1), 4) == -6
     assert free_cumulant_by_interpolation((), 3) == 0
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_dilated_character_fits_degree_bound(k):
+    # s -> Sigma_{k-1} of the s-dilated diagram is a polynomial of degree at
+    # most k, so its (k+1)-th finite difference vanishes, and its k-th is
+    # k! R_k, here R_k by composition from S.
+    rows = (2, 1)
+    assert _dilation_difference(rows, k, k + 1) == 0
+    assert _dilation_difference(rows, k, k) == factorial(k) * r_vector(rows, k)[k]
 
 
 def test_r_routes_agree():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,42 @@ def test_marriage_equivalence(k):
         for colors in colorings:
             assert marriage_condition(masks, m2, colors) == \
                 marriage_condition_flow(masks, m2, colors), (m2, masks, colors)
+
+
+def _arcs_used_by_maps(masks, m2):
+    """For each tuple of column counts, the arcs (i, j) used by the maps
+    that send each s1-cycle i to one s2-cycle j it meets with those counts."""
+    used = {}
+    for image in product(*([j for j in range(m2) if mask >> j & 1] for mask in masks)):
+        used.setdefault(tuple(map(image.count, range(m2))), set()).update(enumerate(image))
+    return used
+
+
+def test_marriage_flow_matches_brute_force():
+    # every valid input with m2 <= 3 and m1 <= 5, masks up to the order of
+    # the s1-cycles, patterns or not: 3,646 inputs.  The flow form holds iff
+    # the maps with column counts colors[j] - 1 use every arc.
+    checked = 0
+    for m2 in range(1, 4):
+        for m1 in range(m2, 6):
+            colorings = [c for c in product(range(2, m1 + 2), repeat=m2) if sum(c) == m1 + m2]
+            for masks in combinations_with_replacement(range(1, 1 << m2), m1):
+                arcs = {(i, j) for i, mask in enumerate(masks) for j in range(m2) if mask >> j & 1}
+                used = _arcs_used_by_maps(masks, m2)
+                for colors in colorings:
+                    assert marriage_condition_flow(masks, m2, colors) == \
+                        (used.get(tuple(c - 1 for c in colors)) == arcs), (masks, m2, colors)
+                    checked += 1
+    assert checked == 3646
+
+
+def test_marriage_forms_differ_off_patterns():
+    # s1-cycles 0-2 meet only s2-cycle 0 (room 3), s1-cycles 3-4 only
+    # s2-cycle 1 (room 2): one assignment, using every arc, so the flow form
+    # holds, while s2-cycle 0 alone meets 3 <= 4 - 1 s1-cycles, failing the
+    # strict subset form; the two agree only on factorization patterns.
+    assert marriage_condition_flow((1, 1, 1, 2, 2), 2, (4, 3))
+    assert not marriage_condition((1, 1, 1, 2, 2), 2, (4, 3))
 
 
 @pytest.mark.parametrize("k", sorted(K_EXPECTED))

@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 
 import symchar
 from symchar import functionals, kerov, stanley
-from symchar.charoracle import normalized_character
-from symchar.diagrams import dilate
 from symchar.ratpoly import (
     P,
     Q,
     R,
     RatPoly,
     S,
-    dilation_var,
-    interpolate_univariate,
     make_var,
     mono_weight,
     parse_var_name,
@@ -149,30 +145,6 @@ def test_mono_weight():
     assert mono_weight(mono) == 5
     ((mono, _),) = (P(1) * Q(2) ** 3).items()
     assert mono_weight(mono) == 4
-
-
-def test_interpolation_basics():
-    const = interpolate_univariate([(0, 5), (1, 5), (2, 5)], 0)
-    assert const == RatPoly.const(5)
-    sq = interpolate_univariate([(0, 0), (1, 1), (2, 4)], 2)
-    assert sq == dilation_var() ** 2
-    with pytest.raises(ValueError, match="degree bound violated"):
-        interpolate_univariate([(0, 0), (1, 1), (2, 4), (3, 10)], 2)
-    with pytest.raises(ValueError, match="distinct"):
-        interpolate_univariate([(1, 1), (1, 2)], 1)
-    with pytest.raises(ValueError, match="at least"):
-        interpolate_univariate([(0, 0)], 2)
-
-
-@pytest.mark.parametrize("k", range(2, 6))
-def test_dilated_character_fits_degree_bound(k):
-    # s -> Sigma_{k-1} of the s-dilated diagram is a polynomial of degree
-    # at most k; one extra node exercises the consistency check.
-    rows = (2, 1)
-    points = [(0, Fraction(0))]
-    points += [(s, normalized_character(dilate(rows, s), k - 1))
-               for s in range(1, k + 2)]
-    interpolate_univariate(points, k)
 
 
 VARS = [("S", 2), ("S", 3), ("R", 2), ("p", 1), ("q", 1), ("s", 1)]

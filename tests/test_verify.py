@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,10 +100,24 @@ def test_homogeneity_reports_the_failing_dilation(monkeypatch):
 
 
 def test_bracket_identity_reports_the_failing_pair(monkeypatch):
-    # an extra p_1 q_1^3 breaks the identity at j1 + j2 = 4 only
+    # an extra p_1 q_1^3 breaks the identity at m = j1 + j2 = 4 only
     stanley_character_poly = stanley.stanley_character_poly
     monkeypatch.setattr(stanley, "stanley_character_poly",
                         lambda pi, r: stanley_character_poly(pi, r) + P(1) * Q(1) ** 3)
-    assert verify.check_bracket_identity(6, 7) == (False, "k=1 j1=2 j2=2")
+    assert verify.check_bracket_identity(6, 7) == (False, "k=1 m=4")
     failed = _failed(verify.run_checks(3, 3))
-    assert failed["bracket-identity[k<=3,j1+j2<=7]"] == "k=1 j1=2 j2=2"
+    assert failed["bracket-identity[k<=3,j1+j2<=7]"] == "k=1 m=4"
+
+
+@pytest.mark.parametrize("extra", [lambda rows: sum(rows) ** 2, lambda rows: sum(rows) * len(rows)],
+                         ids=["n^2", "n*rows"])
+def test_dilation_polynomiality_reports_the_failing_degree(monkeypatch, extra):
+    # adding n^2 (degree 4 in s) or n times the row count (degree 3, one past
+    # the bound) to Sigma_1 makes s -> Sigma_1(s.lam) of degree > 2 on every
+    # non-empty diagram; the first one checked is (1,)
+    normalized_character = functionals.normalized_character
+    monkeypatch.setattr(functionals, "normalized_character",
+                        lambda rows, k: normalized_character(rows, k) + (extra(rows) if k == 1 else 0))
+    assert verify.check_dilation_polynomiality(4, 5) == (False, "lam=(1,) k=2: degree bound violated")
+    failed = _failed(verify.run_checks(3, 3))
+    assert failed["dilation-polynomiality[n<=3,k<=3]"] == "lam=(1,) k=2: degree bound violated"
