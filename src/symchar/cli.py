@@ -172,7 +172,7 @@ def _cumulant_rows(rows, multirect, k_max):
         rows = multirect.to_partition() if multirect.is_integral() else None
     diagrams = [] if rows is None else [rows]
     checks = (
-        verify.check_s_box_vs_frobenius(diagrams, k_max),
+        verify.check_s_box_vs_frobenius([(d, svals) for d in diagrams]),
         verify.check_r_composition_vs_interpolation(
             [d for d in diagrams if sum(d) <= 6], min(k_max, 5)),
         verify.check_r_multirect([] if multirect is None else [multirect], min(k_max, 6)),

@@ -19,9 +19,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from itertools import product as iproduct
 from math import comb, factorial, lcm, prod
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -240,35 +239,65 @@ def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     return _dilation_difference(check_partition(rows), k, k) / factorial(k)
 
 
-def _owner_lists(m2: int, masks: Sequence[int]) -> list[list[int]]:
-    """For each s1-cycle of a pattern (m2, masks) of
-    perms.factorization_patterns, the s2-cycles it meets, in increasing order."""
-    return [[j for j in range(m2) if mask >> j & 1] for mask in masks]
-
-
 def _multirect_factorization_sum(pi: perms.Perm, r: int,
                                  cycle_total: int | None = None) -> RatPoly:
     """Sum over factorizations s1 o s2 = pi, only those with
     |C(s1)| + |C(s2)| = cycle_total when it is given, and over colorings
     phi2 of the s2-cycles by blocks 1..r, of sign(s1) prod_j p_{phi2(j)}
     prod_i q_{phi1(i)}, where phi1 gives each s1-cycle the largest phi2-color
-    among the s2-cycles it meets.  Folds over perms.factorization_patterns."""
-    names = [("p", i) for i in range(1, r + 1)] + [("q", i) for i in range(1, r + 1)]
+    among the s2-cycles it meets.  Folds over perms.factorization_patterns.
+
+    A monomial is one int key: the exponents of p_1..p_r, q_1..q_r, each at
+    most k = len(pi), as base-(k+1) digits.  The s2-cycles are colored in bit
+    order over a frontier of states (per s1-cycle, the largest color so far,
+    -1 outside its bits) mapping keys to counts: patterns x states, not r^m2 colorings.
+    """
+    base = len(pi) + 1
+    powers = [base ** c for c in range(2 * r)]
     accum: Counter = Counter()
     for (m2, masks), mult in perms.factorization_patterns(pi).items():
         if cycle_total is not None and len(masks) + m2 != cycle_total:
             continue
         weight = mult if (len(pi) - len(masks)) % 2 == 0 else -mult
-        adj = _owner_lists(m2, masks)
-        for phi2 in iproduct(range(r), repeat=m2):
-            exps = [0] * (2 * r)
-            for color in phi2:
-                exps[color] += 1
-            for a in adj:
-                exps[r + max([phi2[j] for j in a])] += 1
-            accum[tuple(exps)] += weight
-    return RatPoly._from_canonical({tuple((v, e) for v, e in zip(names, exps) if e): Fraction(c)
-                                    for exps, c in accum.items() if c})
+        if r == 1:  # one coloring
+            accum[m2 + len(masks) * base] += weight
+            continue
+        touch, close = [[] for _ in range(m2)], [[] for _ in range(m2)]
+        for i, mask in enumerate(masks):
+            close[mask.bit_length() - 1].append(i)  # at its top bit, i adds its q-digit
+            for j in range(mask.bit_length() - 1):
+                if mask >> j & 1:
+                    touch[j].append(i)
+        frontier = {(-1,) * len(masks): {0: weight}}
+        for touch_j, close_j in zip(touch, close):
+            step: dict[tuple[int, ...], dict[int, int]] = {}
+            for state, keys in frontier.items():
+                for c in range(r):
+                    top = list(state)
+                    for i in touch_j:
+                        if top[i] < c:
+                            top[i] = c
+                    shift = powers[c]
+                    for i in close_j:
+                        shift += powers[r + max(top[i], c)]
+                        top[i] = -1
+                    bucket = step.setdefault(tuple(top), {})
+                    for key, count in keys.items():
+                        key += shift
+                        bucket[key] = bucket.get(key, 0) + count
+            frontier = step
+        accum.update(frontier[(-1,) * len(masks)])
+    names = [("p", i) for i in range(1, r + 1)] + [("q", i) for i in range(1, r + 1)]
+    terms = {}
+    for key, c in accum.items():
+        if c:
+            mono = []
+            for v in names:
+                key, e = divmod(key, base)
+                if e:
+                    mono.append((v, e))
+            terms[tuple(mono)] = Fraction(c)
+    return RatPoly._from_canonical(terms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

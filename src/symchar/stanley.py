@@ -8,9 +8,9 @@ maximum phi2-color over intersecting s2-cycles, and contributes
 sign(s1) * prod q_{phi1} * prod p_{phi2}.
 
 This sum and the J_k count run as folds over one pass of
-perms.factorization_patterns, so after that pass their cost scales with the
-number of distinct intersection patterns (100 at k = 7), not with the k!
-pairs.
+perms.factorization_patterns (100 distinct intersection patterns at k = 7,
+not k! pairs).  The sum counts the colorings of each pattern over a frontier
+of states, so it costs patterns x frontier states, not r^m2 colorings.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Sequence
 
 from symchar import perms
 from symchar.diagrams import partitions
-from symchar.functionals import (_multirect_factorization_sum, _owner_lists,
-                                 s_functional_multirect_symbolic)
+from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _collect
 
@@ -111,7 +110,7 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
         if len(masks) < m2:
             continue  # some label would be the maximum of no s1-cycle
-        adj = _owner_lists(m2, masks)
+        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
         for labeling in iterperms(range(1, m2 + 1)):
             counts = [0] * m2
             for a in adj:

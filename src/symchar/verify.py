@@ -27,10 +27,11 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def check_s_box_vs_frobenius(diagrams, max_k: int):
-    for rows in diagrams:
+def check_s_box_vs_frobenius(tables):
+    """Each pair (rows, its functionals.s_vector table) against the Frobenius route."""
+    for rows, svals in tables:
         fc = frobenius(rows)
-        for k, a in functionals.s_vector(rows, max_k).items():
+        for k, a in svals.items():
             b = functionals.s_functional_frobenius(fc, k)
             if a != b:
                 return False, f"lam={rows} k={k}: boxes {a} != frobenius {b}"
@@ -280,7 +281,8 @@ def run_checks(max_n: int, max_k: int) -> list[CheckResult]:
 
     kk = max_k
     record(f"s-box-vs-frobenius[n<={max_n},k<={kk}]",
-           check_s_box_vs_frobenius, partitions_up_to(max_n), kk)
+           check_s_box_vs_frobenius,
+           ((rows, functionals.s_vector(rows, kk)) for rows in partitions_up_to(max_n)))
     record(f"s-multirect-vs-boxes[entries<=2,r<=2,k<={kk}]",
            check_s_multirect_vs_boxes, 2, 2, kk, max_n)
     record(f"r-composition-vs-interpolation[n<={min(max_n, 6)},k<={min(kk, 5)}]",

@@ -7,7 +7,7 @@ per-criterion lines.
 
 import time
 
-from symchar import kerov, stanley, verify
+from symchar import functionals, kerov, stanley, verify
 from symchar.diagrams import partitions_up_to
 from symchar.ratpoly import RatPoly
 
@@ -94,7 +94,8 @@ def _failures(*results):
 
 def test_criterion_5_route_equalities():
     failures = _failures(
-        verify.check_s_box_vs_frobenius(partitions_up_to(8), 8),
+        verify.check_s_box_vs_frobenius(
+            (rows, functionals.s_vector(rows, 8)) for rows in partitions_up_to(8)),
         verify.check_r_composition_vs_interpolation(partitions_up_to(6), 5),
         verify.check_r_multirect(verify.integral_multirects(3, 2), 5),
         verify.check_kerov_count_vs_conversion(7),

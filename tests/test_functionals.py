@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
 
+from symchar import perms
 from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
     _dilation_difference,
+    _multirect_factorization_sum,
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
     free_cumulant_multirect,
@@ -259,6 +262,42 @@ def test_r_routes_agree():
         for k in range(2, 6):
             assert free_cumulant_from_s(svals, k) == \
                 free_cumulant_by_interpolation(rows, k)
+
+
+def _coloring_sum_reference(pi, r, cycle_total=None):
+    # the coloring sum one coloring at a time: every phi2 in [r]^m2 of every
+    # factorization pattern, phi1 of an s1-cycle the largest phi2-color
+    # among the s2-cycles it meets
+    names = [("p", i) for i in range(1, r + 1)] + [("q", i) for i in range(1, r + 1)]
+    accum = Counter()
+    for (m2, masks), mult in perms.factorization_patterns(pi).items():
+        if cycle_total is not None and len(masks) + m2 != cycle_total:
+            continue
+        weight = mult if (len(pi) - len(masks)) % 2 == 0 else -mult
+        owners = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+        for phi2 in product(range(r), repeat=m2):
+            exps = [0] * (2 * r)
+            for color in phi2:
+                exps[color] += 1
+            for a in owners:
+                exps[r + max(phi2[j] for j in a)] += 1
+            accum[tuple(exps)] += weight
+    return RatPoly({tuple((v, e) for v, e in zip(names, exps) if e): c
+                    for exps, c in accum.items() if c})
+
+
+@pytest.mark.parametrize("pi, r, cycle_total", [
+    *((perms.canonical_cycle(k), r, total) for k in range(1, 7) for r in range(1, 4)
+      for total in (None, k + 1)),
+    (perms.canonical_cycle(7), 4, None),
+    *((pi, r, None) for pi in ((2, 1, 4, 3), (2, 3, 1, 5, 4), (3, 5, 4, 2, 1))
+      for r in range(1, 4)),
+])
+def test_multirect_factorization_sum_matches_coloring_loop(pi, r, cycle_total):
+    got = _multirect_factorization_sum(pi, r, cycle_total)
+    want = _coloring_sum_reference(pi, r, cycle_total)
+    assert got == want
+    assert str(got) == str(want)
 
 
 def test_free_cumulant_multirect_rectangle():

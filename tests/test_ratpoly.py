@@ -226,8 +226,8 @@ TRUSTED_SITES = {
         functionals.s_functional_multirect_symbolic(r, k)
         for r in range(1, 5) for k in range(2, 10)],
     "_multirect_factorization_sum": lambda: [
-        functionals.free_cumulant_multirect_symbolic(r, k)  # r = 4 at k = 9 takes 1.5 s
-        for r in range(1, 5) for k in range(2, 10 if r < 4 else 9)] + [
+        functionals.free_cumulant_multirect_symbolic(r, k)
+        for r in range(1, 5) for k in range(2, 10)] + [
         stanley.stanley_character_poly(pi, 2) for pi in ((2, 1, 4, 3), (2, 3, 1, 5, 4))],
     "kerov_polynomial_by_counting": lambda: [
         kerov.kerov_polynomial_by_counting(k) for k in range(1, 10)],

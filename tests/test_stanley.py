@@ -106,7 +106,7 @@ def test_j_polynomials_match_display(k):
     assert j_polynomial_by_counting(k) == RatPoly.from_text(J_EXPECTED[k])
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 9))
 def test_j_count_equals_stanley_extraction(k):
     assert j_polynomial_by_counting(k) == j_polynomial_via_stanley(k)
 

@@ -39,7 +39,7 @@ def _multirects(draw):
 @settings(max_examples=50, deadline=None)
 @given(_partitions(40), st.integers(2, 16))
 def test_s_box_vs_frobenius_random(rows, k):
-    assert verify.check_s_box_vs_frobenius([rows], k) == (True, "")
+    assert verify.check_s_box_vs_frobenius([(rows, functionals.s_vector(rows, k))]) == (True, "")
 
 
 @settings(max_examples=30, deadline=None)
