@@ -22,8 +22,9 @@ if TYPE_CHECKING:
     from symchar.ratpoly import RatPoly
 
 # (command, argument) -> (least, largest) accepted value.  "boxes" bounds the
-# diagram of --lambda or --p/--q (see _diagram_size), and "denominator" the
-# common denominator of the entries of --p/--q.
+# diagram of --lambda or --p/--q (see _diagram_size), "denominator" the
+# common denominator of the entries of --p/--q, and "digits" the digits of
+# each entry, read from its text before it is parsed (see _entry_digits).
 LIMITS = {
     ("poly", "--k"): (1, 8),
     ("character", "--k"): (1, 10_000),
@@ -31,6 +32,7 @@ LIMITS = {
     ("cumulants", "--max-k"): (2, 100),
     ("cumulants", "boxes"): (0, 10_000),
     ("cumulants", "denominator"): (1, 10_000),
+    ("cumulants", "digits"): (0, 100),
     ("verify", "--max-n"): (1, 20),
     ("verify", "--max-k"): (1, 20),
 }
@@ -98,6 +100,21 @@ def _denominator(multirect: MultiRect) -> int:
     return lcm(*(x.denominator for x in multirect.p + multirect.q))
 
 
+def _entry_digits(text: str) -> int:
+    """An upper bound on the decimal digits of an entry of --p/--q, read from
+    its text: its digit characters, plus the size of an exponent such as the
+    -300 of 1e-300, which Fraction would write out as a power of ten.  Only
+    an entry with few digit characters has its exponent parsed."""
+    digits = sum(c.isdigit() for c in text)
+    _, e, exponent = text.lower().partition("e")
+    if e and digits <= LIMITS["cumulants", "digits"][1]:
+        try:
+            digits += abs(int(exponent))
+        except ValueError:
+            pass  # a malformed entry, which parsing reports
+    return digits
+
+
 def _diagram_size(diagram: Partition | MultiRect) -> int:
     """The boxes of a partition.  A multirectangle is scaled by the common
     denominator D of its entries, which makes it integral, and sized by the
@@ -119,6 +136,8 @@ def _rejects(command: str, argument: str, value: int) -> bool:
         message = f"the diagram must have at most {high} boxes, rows and columns"
     elif argument == "denominator":
         message = f"the entries of --p/--q must have a common denominator of at most {high}"
+    elif argument == "digits":
+        message = f"the entries of --p/--q must have at most {high} digits each"
     elif value < low:
         message = f"{argument} must be >= {low}"
     else:
@@ -190,6 +209,9 @@ def _cmd_cumulants(args) -> int:
               file=sys.stderr)
         return 1
     if _rejects("cumulants", "--max-k", args.max_k):
+        return 1
+    entries = [] if args.p is None else f"{args.p},{args.q}".split(",")
+    if _rejects("cumulants", "digits", max(map(_entry_digits, entries), default=0)):
         return 1
     try:
         rows = parse_partition(args.lam) if args.lam is not None else None

@@ -18,15 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb, factorial, lcm, prod
-from typing import Callable, Iterator, Mapping
+from math import comb, factorial, lcm
+from typing import Callable, Iterator, Mapping, Sequence
 
 from symchar import perms
 from symchar.charoracle import normalized_character
-from symchar.diagrams import (FrobeniusCoords, MultiRect, Partition, check_partition, dilate,
-                              partitions)
-from symchar.ratpoly import CACHE_SIZE, RatPoly, _as_fraction
+from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partition, dilate
+from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _as_fraction
 
 
 def s_functional_boxes(rows: Partition, k: int) -> Fraction:
@@ -51,6 +49,27 @@ def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     return Fraction(total, k * (2 * den) ** k)
 
 
+def _exponent_walk(variables: Sequence[Var], weights: Sequence[int],
+                   top: int) -> list[tuple[Mono, int, int, int]]:
+    """Every nonzero exponent vector e of `variables` (canonical order, weights
+    never falling) with sum_i weights[i] e_i <= top, as (monomial, that weight,
+    sum_i e_i, prod_i e_i!), each grown from its prefix with no sort or tally."""
+    walk, live = [], [((), 0, 0, 1)]
+    for var, w in zip(variables, weights):
+        # a prefix with no room for w has none for the weights after it
+        live = [state for state in live if state[1] + w <= top]
+        grown = []
+        for mono, used, parts, fact in live:
+            e = 1
+            while used + e * w <= top:
+                fact *= e
+                grown.append((mono + ((var, e),), used + e * w, parts + e, fact))
+                e += 1
+        walk += grown
+        live += grown
+    return walk
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
     """S_k of the r-block diagram p x q as an exact polynomial in the p_i, q_i.
@@ -65,21 +84,21 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
 
     By the multinomial theorem, Y_i^a - Y_{i-1}^a is the sum of
     multinomial(a; e) p^e over exponent vectors e of p_1..p_i with |e| = a
-    and e_i >= 1.  Each (i, e) owns one monomial, so every coefficient is
-    written down directly, without polynomial products.
+    and e_i >= 1.  So each nonzero e of p_1..p_r with |e| <= k - 1 owns one
+    monomial, p^e q_i^(k-|e|) with i its last nonzero index, written down
+    directly by one _exponent_walk, without polynomial products.
     """
     if r < 1:
         raise ValueError("need at least one block")
     if k < 2:
         raise ValueError("k must be >= 2")
-    terms = {}
-    for i in range(1, r + 1):
-        for a in range(1, k):
-            scale = (-1) ** (a + 1) * comb(k, a) * factorial(a)
-            for rest in combinations_with_replacement(range(1, i + 1), a - 1):
-                e = Counter(rest + (i,))
-                mono = tuple((("p", j), x) for j, x in sorted(e.items())) + ((("q", i), k - a),)
-                terms[mono] = Fraction(scale // prod(map(factorial, e.values())), k)
+    scale = [(-1) ** (a + 1) * comb(k, a) * factorial(a) for a in range(k)]
+    q_factor = [[(("q", i), k - a) for a in range(k)] for i in range(r + 1)]
+    coeffs, terms = {}, {}
+    for mono, a, _, fact in _exponent_walk([("p", i) for i in range(1, r + 1)], [1] * r, k - 1):
+        num = scale[a] // fact  # never 0, so `or` reduces each distinct one once
+        coeff = coeffs.get(num) or coeffs.setdefault(num, Fraction(num, k))
+        terms[mono + (q_factor[mono[-1][0][1]][a],)] = coeff
     return RatPoly._from_canonical(terms)
 
 
@@ -161,17 +180,19 @@ def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
     return Fraction(total, factorial(top) * den ** top)
 
 
-def _partition_sum(family: str, n: int, coeff: Callable[[int], int]) -> RatPoly:
-    """sum_mu coeff(l) / prod_i m_i! * x_mu over the partitions mu of n into
-    parts >= 2, x the variables of `family`, l the number of parts of mu and
-    m_i the multiplicity of part i: one monomial per partition."""
-    terms = {}
-    for mu in partitions(n):
-        if mu[-1] >= 2:
-            mult = Counter(mu)
-            mono = tuple(((family, j), m) for j, m in sorted(mult.items()))
-            terms[mono] = Fraction(coeff(len(mu)), prod(map(factorial, mult.values())))
-    return RatPoly._from_canonical(terms)
+def _partition_sums(family: str, low: int, top: int,
+                    coeff: Callable[[int, int], int]) -> dict[int, RatPoly]:
+    """For low <= n <= top, sum_mu coeff(n, l) / prod_i m_i! * x_mu over the
+    partitions mu of n into parts >= 2, x the variables of `family`, l the
+    number of parts of mu and m_i the multiplicity of part i: one monomial
+    per partition, all from one _exponent_walk over x_2..x_top."""
+    sums, coeffs = {n: {} for n in range(low, top + 1)}, {}
+    for mono, n, l, fact in _exponent_walk([(family, j) for j in range(2, top + 1)],
+                                           range(2, top + 1), top):
+        if n >= low:  # coefficients are never 0: `or` reduces each distinct one once
+            key = (n, l, fact)
+            sums[n][mono] = coeffs.get(key) or coeffs.setdefault(key, Fraction(coeff(n, l), fact))
+    return {n: RatPoly._from_canonical(terms) for n, terms in sums.items()}
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -190,7 +211,7 @@ def r_in_terms_of_s(k: int) -> RatPoly:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _partition_sum("S", k, lambda l: (1 - k) ** (l - 1))
+    return _partition_sums("S", k, k, lambda n, l: (1 - k) ** (l - 1))[k]
 
 
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:

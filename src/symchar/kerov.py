@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from symchar import perms
-from symchar.functionals import _partition_sum
+from symchar.functionals import _partition_sums
 from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
 
@@ -186,7 +186,8 @@ def s_in_terms_of_r(k_max: int) -> Mapping[int, RatPoly]:
 
         S_j = sum_mu (j-1)(j-2)...(j-l+1) / prod_i m_i! * R_mu,
 
-    l the number of parts of mu and m_i the multiplicity of part i.  With
+    l the number of parts of mu and m_i the multiplicity of part i, the
+    whole table from one walk over the multiplicities of R_2..R_k_max.  With
     functionals.r_in_terms_of_s it shares only the partition sum, not the
     coefficient, so composing the two checks one formula against its
     inverse.  The table is cached, so it is returned read-only.
@@ -196,8 +197,7 @@ def s_in_terms_of_r(k_max: int) -> Mapping[int, RatPoly]:
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    return MappingProxyType({j: _partition_sum("R", j, lambda l: perm(j - 1, l - 1))
-                             for j in range(2, k_max + 1)})
+    return MappingProxyType(_partition_sums("R", 2, k_max, lambda j, l: perm(j - 1, l - 1)))
 
 
 def kerov_polynomial_by_conversion(k: int) -> RatPoly:

@@ -186,6 +186,8 @@ def test_cumulants_detects_route_fault(capsys, monkeypatch, route, diagram):
 
 
 BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and columns\n"
+DIGITS_ERROR = ("symchar cumulants: error: the entries of --p/--q must have at most 100 digits"
+                " each\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -206,9 +208,15 @@ BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and column
     # one box of 1/D x 1/D fits any common denominator D, which has a bound of its own
     (("cumulants", "--p", "1/10007", "--q", "1/10007"), "symchar cumulants: error: the entries"
      " of --p/--q must have a common denominator of at most 10000\n"),
+    # an exponent is sized from its text: Fraction would write out 10^1000000
+    (("cumulants", "--p", "1e-1000000", "--q", "1", "--max-k", "2"), DIGITS_ERROR),
+    (("cumulants", "--p", "1", "--q", "1e-10000000", "--max-k", "2"), DIGITS_ERROR),
+    (("cumulants", "--p", "1/2," + "1" * 101, "--q", "2,1"), DIGITS_ERROR),
 ])
 def test_oversize_input_exits_with_one_line(capsys, argv, message):
+    start = time.perf_counter()
     assert run(capsys, *argv) == (1, "", message)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.fixture

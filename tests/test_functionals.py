@@ -131,9 +131,10 @@ def _s_multirect_by_powers(r, k):
 
 
 def test_s_multirect_symbolic_matches_power_expansion():
-    for r in range(1, 5):
-        for k in range(2, 9):
-            assert str(s_functional_multirect_symbolic(r, k)) == str(_s_multirect_by_powers(r, k))
+    # r <= 4 at k <= 8, then three of the larger shapes the benchmark builds
+    shapes = [(r, k) for r in range(1, 5) for k in range(2, 9)] + [(4, 10), (6, 7), (8, 4)]
+    for r, k in shapes:
+        assert str(s_functional_multirect_symbolic(r, k)) == str(_s_multirect_by_powers(r, k))
 
 
 def test_s_multirect_corner_form_matches_symbolic():
@@ -149,6 +150,15 @@ def test_s_multirect_corner_form_matches_symbolic():
             want = s_functional_multirect_symbolic(r, k).evaluate(m.assignment())
             assert s_functional_multirect(m, k) == want
         assert s_vector(m, 12) == {k: s_functional_multirect(m, k) for k in range(2, 13)}
+    # a few with 6 and 8 blocks, k <= 7
+    for r in (6, 8) * 3:
+        p = [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(r)]
+        q = sorted((Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(r)),
+                   reverse=True)
+        m = MultiRect(p, q)
+        for k in range(2, 8):
+            assert s_functional_multirect(m, k) == s_functional_multirect_symbolic(r, k).evaluate(
+                m.assignment())
 
 
 def _compositions_ge2(total):
@@ -178,7 +188,7 @@ def test_power_series_r_matches_composition_sum():
         svals = s_vector(rows, 14)
         for k in range(2, 15):
             assert free_cumulant_from_s(svals, k) == _r_by_composition_sum(svals, k)
-    for k in range(2, 17):
+    for k in range(2, 19):
         svars = {j: S(j) for j in range(2, k + 1)}
         assert r_in_terms_of_s(k) == _r_by_composition_sum(svars, k)
 

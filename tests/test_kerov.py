@@ -161,6 +161,15 @@ def test_s_in_terms_of_r_matches_triangular_inversion():
     assert s_in_terms_of_r(12) == _s_by_triangular_inversion(12)
 
 
+def test_s_in_terms_of_r_table_does_not_depend_on_k_max():
+    # one walk builds the whole table; S_j must not change with k_max >= j
+    for k_max in range(2, 19):
+        table = s_in_terms_of_r(k_max)
+        assert list(table) == list(range(2, k_max + 1))
+        for j, poly in table.items():
+            assert poly == s_in_terms_of_r(j)[j]
+
+
 def _partition_from_parts(parts):
     rows, total = [], 0
     for part in parts:
