@@ -23,8 +23,10 @@ if TYPE_CHECKING:
 
 # (command, argument) -> (least, largest) accepted value.  "boxes" bounds the
 # diagram of --lambda or --p/--q (see _diagram_size), "denominator" the
-# common denominator of the entries of --p/--q, and "digits" the digits of
-# each entry, read from its text before it is parsed (see _entry_digits).
+# common denominator of the entries of --p/--q, "entries" the number of
+# entries of --p and of --q, and "digits" the digits of each entry (see
+# _entry_digits); the last two are read from the text before it is parsed, as
+# sizing many entries of distinct denominators takes quadratic time.
 LIMITS = {
     ("poly", "--k"): (1, 8),
     ("character", "--k"): (1, 10_000),
@@ -32,6 +34,7 @@ LIMITS = {
     ("cumulants", "--max-k"): (2, 100),
     ("cumulants", "boxes"): (0, 10_000),
     ("cumulants", "denominator"): (1, 10_000),
+    ("cumulants", "entries"): (0, 100),
     ("cumulants", "digits"): (0, 100),
     ("verify", "--max-n"): (1, 20),
     ("verify", "--max-k"): (1, 20),
@@ -136,6 +139,8 @@ def _rejects(command: str, argument: str, value: int) -> bool:
         message = f"the diagram must have at most {high} boxes, rows and columns"
     elif argument == "denominator":
         message = f"the entries of --p/--q must have a common denominator of at most {high}"
+    elif argument == "entries":
+        message = f"--p and --q must have at most {high} entries each"
     elif argument == "digits":
         message = f"the entries of --p/--q must have at most {high} digits each"
     elif value < low:
@@ -210,8 +215,9 @@ def _cmd_cumulants(args) -> int:
         return 1
     if _rejects("cumulants", "--max-k", args.max_k):
         return 1
-    entries = [] if args.p is None else f"{args.p},{args.q}".split(",")
-    if _rejects("cumulants", "digits", max(map(_entry_digits, entries), default=0)):
+    p_entries, q_entries = ([], []) if args.p is None else (args.p.split(","), args.q.split(","))
+    if _rejects("cumulants", "entries", max(len(p_entries), len(q_entries))) or _rejects(
+            "cumulants", "digits", max(map(_entry_digits, p_entries + q_entries), default=0)):
         return 1
     try:
         rows = parse_partition(args.lam) if args.lam is not None else None

@@ -38,10 +38,6 @@ def parse_partition(text: str) -> Partition:
     return check_partition(rows)
 
 
-def format_partition(rows: Partition) -> str:
-    return ",".join(str(r) for r in rows)
-
-
 def conjugate(rows: Partition) -> Partition:
     if not rows:
         return ()

@@ -1,11 +1,9 @@
 """Exact sparse multivariate polynomials over rationals in the indexed
-variable families S_j, R_j (j >= 2), p_i, q_i (i >= 1) and the dilation
-variable s.
+variable families S_j, R_j (j >= 2) and p_i, q_i (i >= 1).
 
-A variable is a pair (family, index) with family one of "S", "R", "p", "q",
-"s"; the dilation variable is ("s", 1).  A monomial is a tuple of
-(variable, exponent) pairs in canonical order.  All coefficients are
-fractions.Fraction; no floating point anywhere.
+A variable is a pair (family, index) with family one of "S", "R", "p", "q".
+A monomial is a tuple of (variable, exponent) pairs in canonical order.
+All coefficients are fractions.Fraction; no floating point anywhere.
 
 Canonical text form: terms ordered by descending weight (S_j and R_j weigh
 j, all other variables weigh 1), ties broken lexicographically on the
@@ -25,29 +23,24 @@ CACHE_SIZE = 256  # entries kept by each lru_cache of polynomial results
 Var = tuple[str, int]
 Mono = tuple[tuple[Var, int], ...]
 
-_CANON_RANK = {"s": 0, "p": 1, "q": 2, "R": 3, "S": 4}
-_PRINT_RANK = {"S": 0, "R": 1, "p": 2, "q": 3, "s": 4}
-_MIN_INDEX = {"S": 2, "R": 2, "p": 1, "q": 1, "s": 1}
+_CANON_RANK = {"p": 0, "q": 1, "R": 2, "S": 3}
+_PRINT_RANK = {"S": 0, "R": 1, "p": 2, "q": 3}
+_MIN_INDEX = {"S": 2, "R": 2, "p": 1, "q": 1}
 
 
 def make_var(family: str, index: int = 1) -> Var:
     if family not in _CANON_RANK:
         raise ValueError(f"unknown variable family {family!r}")
-    if family == "s" and index != 1:
-        raise ValueError("the dilation variable has no index")
     if index < _MIN_INDEX[family]:
         raise ValueError(f"index {index} too small for family {family!r}")
     return (family, index)
 
 
 def var_name(v: Var) -> str:
-    fam, idx = v
-    return "s" if fam == "s" else f"{fam}{idx}"
+    return f"{v[0]}{v[1]}"
 
 
 def parse_var_name(name: str) -> Var:
-    if name == "s":
-        return ("s", 1)
     m = re.fullmatch(r"([SRpq])(\d+)", name)
     if not m:
         raise ValueError(f"malformed variable name {name!r}")
@@ -84,7 +77,7 @@ def normalize_mono(mono: Union[Mono, Mapping[Var, int]]) -> Mono:
 
 
 def mono_weight(mono: Mono) -> int:
-    """Grading weight: S_j and R_j weigh j, the p/q/s variables weigh 1."""
+    """Grading weight: S_j and R_j weigh j, the p and q variables weigh 1."""
     total = 0
     for (fam, idx), exp in mono:
         total += (idx if fam in ("S", "R") else 1) * exp
@@ -235,7 +228,7 @@ class RatPoly:
 
     def derivative_at_zero(self, variables: Iterable[Var]) -> Fraction:
         """Iterated partial derivative, then every S- and R-family variable
-        set to 0.  The p/q/s variables are never implicitly zeroed; a
+        set to 0.  The p and q variables are never implicitly zeroed; a
         non-constant remainder in them is an error."""
         poly = self
         for v in variables:
@@ -247,7 +240,7 @@ class RatPoly:
             if mono:
                 raise ValueError(
                     "derivative does not evaluate to a constant; "
-                    f"p/q/s variables remain: {mono}")
+                    f"p/q variables remain: {mono}")
             result = coeff
         return result
 
@@ -337,7 +330,7 @@ class RatPoly:
                 if num:
                     coeff *= Fraction(int(num.group(1)), int(num.group(2) or 1))
                     continue
-                var_m = re.fullmatch(r"([SRpq]\d+|s)(?:\^(\d+))?", piece)
+                var_m = re.fullmatch(r"([SRpq]\d+)(?:\^(\d+))?", piece)
                 if not var_m:
                     raise ValueError(f"malformed term piece {piece!r}")
                 mono.append((parse_var_name(var_m.group(1)), int(var_m.group(2) or 1)))
@@ -386,7 +379,3 @@ def P(i: int) -> RatPoly:
 
 def Q(i: int) -> RatPoly:
     return RatPoly.variable(("q", i))
-
-
-def dilation_var() -> RatPoly:
-    return RatPoly.variable(("s", 1))

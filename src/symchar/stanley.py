@@ -26,7 +26,7 @@ from symchar import perms
 from symchar.diagrams import partitions
 from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
-from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _collect
+from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
 
 
 def stanley_character_poly(pi: Perm, r: int) -> RatPoly:
@@ -51,17 +51,17 @@ def pq_bracket(poly: RatPoly, js: Sequence[int]) -> Fraction:
 
 def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     """[p_{i_1} ... p_{i_s}] with the q-variables kept: the sub-polynomial of
-    terms whose p-part is exactly one power of each listed p-index."""
-    wanted = {("p", i) for i in indices}
-    if len(wanted) != len(indices):
+    terms whose p-part is exactly one power of each listed p-index.  The
+    p-variables lead every canonical monomial, so such a term starts with
+    that prefix and goes on with no other p; distinct terms keep distinct
+    suffixes."""
+    if len(set(indices)) != len(indices):
         raise ValueError("indices must be distinct")
-    pairs = []
-    for mono, coeff in poly.terms():
-        p_part = {v: e for v, e in mono if v[0] == "p"}
-        if set(p_part) != wanted or any(e != 1 for e in p_part.values()):
-            continue
-        pairs.append((tuple((v, e) for v, e in mono if v[0] != "p"), coeff))
-    return RatPoly._from_canonical(_collect(pairs))
+    prefix = tuple((("p", i), 1) for i in sorted(indices))
+    n = len(prefix)
+    return RatPoly._from_canonical({
+        mono[n:]: coeff for mono, coeff in poly.terms()
+        if mono[:n] == prefix and (len(mono) == n or mono[n][0][0] != "p")})
 
 
 def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:

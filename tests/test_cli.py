@@ -188,6 +188,13 @@ def test_cumulants_detects_route_fault(capsys, monkeypatch, route, diagram):
 BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and columns\n"
 DIGITS_ERROR = ("symchar cumulants: error: the entries of --p/--q must have at most 100 digits"
                 " each\n")
+ENTRIES_ERROR = "symchar cumulants: error: --p and --q must have at most 100 entries each\n"
+
+
+def _large_denominators(n):
+    """n entries 1/D_i of distinct 97-digit denominators, whose common
+    denominator grows with every entry."""
+    return ",".join(f"1/{10 ** 96 + 2 * i + 1}" for i in range(n))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -212,6 +219,11 @@ DIGITS_ERROR = ("symchar cumulants: error: the entries of --p/--q must have at m
     (("cumulants", "--p", "1e-1000000", "--q", "1", "--max-k", "2"), DIGITS_ERROR),
     (("cumulants", "--p", "1", "--q", "1e-10000000", "--max-k", "2"), DIGITS_ERROR),
     (("cumulants", "--p", "1/2," + "1" * 101, "--q", "2,1"), DIGITS_ERROR),
+    # the entry count is bounded before any entry is parsed or sized
+    (("cumulants", "--p", _large_denominators(101), "--q", ",".join(["1"] * 101)), ENTRIES_ERROR),
+    (("cumulants", "--p", "1", "--q", ",".join(["1"] * 101)), ENTRIES_ERROR),
+    (("cumulants", "--p", _large_denominators(100), "--q", ",".join(["1"] * 100)),
+     "symchar cumulants: " + BOXES_ERROR),
 ])
 def test_oversize_input_exits_with_one_line(capsys, argv, message):
     start = time.perf_counter()

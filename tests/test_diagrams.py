@@ -22,7 +22,6 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 def test_parse_and_format():
     assert parse_partition("4,3,1") == (4, 3, 1)
     assert parse_partition("") == ()
-    assert diagrams.format_partition((4, 3, 1)) == "4,3,1"
     with pytest.raises(ValueError):
         parse_partition("3,4")
     with pytest.raises(ValueError):

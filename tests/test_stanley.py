@@ -4,11 +4,13 @@ from itertools import permutations as iterperms
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symchar import perms, stanley
 from symchar.charoracle import normalized_character_general
 from symchar.diagrams import MultiRect
-from symchar.ratpoly import P, Q, RatPoly, S
+from symchar.ratpoly import P, Q, RatPoly, S, _collect
 from symchar.stanley import (
     check_s_coefficient_formula,
     j_monomial_multisets,
@@ -81,6 +83,47 @@ def test_s_coefficient_formula_sweep():
         for s in range(1, k + 2):
             assert check_s_coefficient_formula(k, tuple(range(1, s + 1)))
             assert check_s_coefficient_formula(k, tuple(range(2, s + 2)))
+
+
+def _p_bracket_by_sets(poly, indices):
+    # the reference form of p_bracket: compare each term's p-part as a set
+    wanted = {("p", i) for i in indices}
+    if len(wanted) != len(indices):
+        raise ValueError("indices must be distinct")
+    pairs = []
+    for mono, coeff in poly.terms():
+        p_part = {v: e for v, e in mono if v[0] == "p"}
+        if set(p_part) != wanted or any(e != 1 for e in p_part.values()):
+            continue
+        pairs.append((tuple((v, e) for v, e in mono if v[0] != "p"), coeff))
+    return RatPoly._from_canonical(_collect(pairs))
+
+
+# p-exponents 1-2 and more p-variables than any index list names
+_var_st = st.one_of(
+    st.tuples(st.sampled_from([("p", i) for i in range(1, 5)]), st.integers(1, 2)),
+    st.tuples(st.sampled_from([("q", 1), ("q", 2), ("S", 2), ("S", 3), ("R", 2)]),
+              st.integers(1, 3)))
+_poly_st = st.dictionaries(
+    st.lists(_var_st, max_size=6).map(lambda pairs: tuple(dict(pairs).items())),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=12).map(RatPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly=_poly_st, indices=st.lists(st.integers(1, 5), unique=True, max_size=4))
+def test_p_bracket_matches_set_form(poly, indices):
+    # unsorted and empty index lists, and indices no term carries; the
+    # product gives terms with exactly the listed p-part, and with a square
+    # of one of them where a term of poly already holds that p
+    marked = poly * RatPoly({tuple((("p", i), 1) for i in indices): 1}) + poly
+    for f in (poly, marked):
+        assert p_bracket(f, indices) == _p_bracket_by_sets(f, indices)
+
+
+def test_p_bracket_rejects_duplicate_indices():
+    for indices in ([1, 1], [2, 1, 2]):
+        with pytest.raises(ValueError, match="indices must be distinct"):
+            p_bracket(P(1) * P(2) * Q(1), indices)
 
 
 def test_derivative_via_stanley_on_s_monomials():
