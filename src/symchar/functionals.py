@@ -96,8 +96,10 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
     q_factor = [[(("q", i), k - a) for a in range(k)] for i in range(r + 1)]
     coeffs, terms = {}, {}
     for mono, a, _, fact in _exponent_walk([("p", i) for i in range(1, r + 1)], [1] * r, k - 1):
-        num = scale[a] // fact  # never 0, so `or` reduces each distinct one once
-        coeff = coeffs.get(num) or coeffs.setdefault(num, Fraction(num, k))
+        num = scale[a] // fact
+        coeff = coeffs.get(num)
+        if coeff is None:  # each distinct coefficient is reduced once
+            coeff = coeffs[num] = Fraction(num, k)
         terms[mono + (q_factor[mono[-1][0][1]][a],)] = coeff
     return RatPoly._from_canonical(terms)
 
@@ -189,9 +191,12 @@ def _partition_sums(family: str, low: int, top: int,
     sums, coeffs = {n: {} for n in range(low, top + 1)}, {}
     for mono, n, l, fact in _exponent_walk([(family, j) for j in range(2, top + 1)],
                                            range(2, top + 1), top):
-        if n >= low:  # coefficients are never 0: `or` reduces each distinct one once
+        if n >= low:
             key = (n, l, fact)
-            sums[n][mono] = coeffs.get(key) or coeffs.setdefault(key, Fraction(coeff(n, l), fact))
+            value = coeffs.get(key)
+            if value is None:  # each distinct coefficient is reduced once
+                value = coeffs[key] = Fraction(coeff(n, l), fact)
+            sums[n][mono] = value
     return {n: RatPoly._from_canonical(terms) for n, terms in sums.items()}
 
 

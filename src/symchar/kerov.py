@@ -13,8 +13,8 @@ Hall subset condition, and a transportation check that seeks, for each arc,
 an assignment of s1-cycles to s2-cycles through it by augmenting paths.
 Both counts, and verify's comparison of the two forms, run as folds over one
 pass of perms.factorization_patterns, so after that pass their cost scales
-with the number of distinct intersection patterns (1,046 at k = 9), not with
-the k! pairs.
+with the number of tally keys, intersection patterns (1,431 at k = 9), not
+with the k! pairs.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@ canonical long cycle, and the intersection-pattern tally of the
 factorizations of any permutation.
 
 The tally is the one pass that every factorization sum of the package
-folds over.  For a k-cycle it runs as one flat necklace walk, a recursive
-function over a shared prefix that fills t and s1 = c o t in place and
-calls the tally's leaf at each orbit representative.
+folds over.  For a k-cycle it tallies one chain t, c o t, ..., c^(k-1) o t
+per necklace of a flat walk over step sequences, at one cycle traversal
+per element (4,492 chains at k = 9).
 
 A permutation of degree k is a tuple ``images`` of length k where
 ``images[i-1]`` is the image of i.  Composition is (a * b)(x) = a(b(x)),
@@ -104,77 +104,62 @@ def factorizations_of_cycle(k: int) -> Iterator[tuple[Perm, Perm]]:
         yield s1, compose(inverse(s1), target)
 
 
-def _walk_necklaces(k: int, visit: Callable[[list[int], list[int], int], None]) -> None:
-    """Calls visit(t, s1, size) once per orbit of S(k) under conjugation by
-    the canonical k-cycle c, with one representative t (0-based, t[x] the
-    image of x), s1 = c o t and the orbit size, in lexicographic order of
-    d.  t and s1 are lists that the walk reuses, so visit must copy what it
-    keeps.
+def _walk_chains(k: int, visit: Callable[[list[int], int], None]) -> None:
+    """Calls visit(t, p) once per orbit of S(k) under t -> c^i o t o c^j,
+    c the canonical k-cycle, in lexicographic order of e below: t is the
+    orbit's element (0-based, t[x] the image of x) with t(0) = 0 whose step
+    sequence e is the least of its rotations, and p is the period of e.
+    t is a list that the walk reuses, so visit must copy what it keeps.
 
-    Conjugating t by the cycle rotates its difference sequence
-    d(x) = t(x) - x mod k, and t is the one element of its orbit whose d is
-    the least of its rotations, a necklace.  A depth-first walk keeps only
-    prefixes that can still be the least rotation, d[n] >= d[n-p] with p the
-    period so far (Ruskey, Savage and Wang, J. Algorithms 13, 1992), and
-    accepts a full d iff p divides k; the orbit then has p elements.
+    The step sequence e(x) = t(x+1) - t(x) - 1 mod k (x+1 taken mod k) fixes
+    t up to left multiplication by a power of c, which leaves e alone, while
+    conjugation by c rotates e.  So an orbit has p * k elements: the chains
+    t, c o t, ..., c^(k-1) o t of the p rotations of a necklace e of period
+    p.  A depth-first walk keeps only prefixes of e that can still be the
+    least rotation, e[n] >= e[n-p] with p the period so far (Ruskey, Savage
+    and Wang, J. Algorithms 13, 1992), and accepts a full e iff p divides k.
 
-    The walk is a plain recursion over the prefix of the difference
-    sequence d.  The last two positions can only take the two points still
-    free, so they are placed by hand, in both orders, under the rule of the
-    loop.  d has a spare entry d[k] = 0, so at n = 0 the bound d[n-p] = d[-1]
-    is 0.
+    e[n] places t[n+1] = t[n] + e[n] + 1 mod k, which must be free.  Once
+    t[k-2] is placed, t[k-1] is the one point left, so e[k-2] and
+    e[k-1] = k - 1 - t[k-1] are forced and only go through the rule of the
+    loop.  A spare entry e[k] = 0 is the bound e[n-p] = e[-1] at n = 0.
     """
     if k == 1:
-        visit([0], [0], 1)
+        visit([0], 1)
         return
     t = [0] * k
-    s1 = [0] * k
-    d = [0] * (k + 1)
-    free = [True] * k
-    succ = [*range(1, k), 0]
+    e = [0] * (k + 1)
+    free = [False] + [True] * (k - 1)
     last = k - 1
     pen = k - 2
 
-    def close(p: int, x: int, y: int) -> None:
-        # t[k-2] = x and t[k-1] = y, through the rule of the loop at n = k-2
-        # and n = k-1, where d[n] = t[n] - n mod k is x + 2 mod k and y + 1
-        # mod k; the result is visited if it is a necklace.
-        dn = x + 2 if x < pen else x - pen
-        low = d[pen - p]
-        if dn < low:
-            return
-        if dn > low:
-            p = last
-        d[pen] = dn
-        dn = y + 1 if y < last else 0
-        low = d[last - p]
-        if dn < low:
-            return
-        if dn > low:
-            p = k
+    def close(p: int) -> None:
+        y = free.index(True)
+        for n, en in ((pen, (y - t[pen] - 1) % k), (last, last - y)):
+            low = e[n - p]
+            if en < low:
+                return
+            if en > low:
+                p = n + 1
+            e[n] = en
         if k % p == 0:
-            t[pen], t[last] = x, y
-            s1[pen], s1[last] = succ[x], succ[y]
-            visit(t, s1, p)
+            t[last] = y
+            visit(t, p)
 
     def walk(n: int, p: int) -> None:
         if n == pen:
-            x = free.index(True)
-            y = free.index(True, x + 1)
-            if y >= pen > x:
-                x, y = y, x
-            close(p, x, y)
-            close(p, y, x)
+            close(p)
             return
-        low = d[n - p]
-        for dn in range(low, k):
-            x = n + dn
+        low = e[n - p]
+        base = t[n] + 1
+        for en in range(low, last):
+            x = base + en
             if x >= k:
                 x -= k
             if free[x]:
                 free[x] = False
-                t[n], s1[n], d[n] = x, succ[x], dn
-                walk(n + 1, p if dn == low else n + 1)
+                t[n + 1], e[n] = x, en
+                walk(n + 1, p if en == low else n + 1)
                 free[x] = True
 
     walk(0, 1)
@@ -185,60 +170,86 @@ def factorization_patterns(pi: Perm) -> Counter:
     to the numbering of the s2-cycles.
 
     A pair's pattern is (m2, masks): m2 = |C(s2)|, and masks lists, sorted,
-    one bitmask per s1-cycle of the s2-cycles it meets, numbered as in
-    cycles(s2).  It fixes |C(s1)| = len(masks) and sign(s1), and every sum
-    over factorizations here depends on a pair only through it.  Each visit
-    is a t = s2^-1, with s1 = pi o t; t has the cycles of s2.  One leaf
-    routine tallies a visit in place: it labels each point with the bit of
-    its t-cycle, then ORs the labels along each s1-cycle.
+    one bitmask per s1-cycle of the s2-cycles it meets, numbered by least
+    point as in cycles(s2).  It fixes |C(s1)| = len(masks) and sign(s1), and
+    every sum over factorizations here depends on a pair only through it.
 
-    Any pi but a k-cycle visits all of S(k), once each.  A k-cycle is a
-    relabeling of the canonical one, whose factorizations conjugation by the
-    cycle maps onto factorizations with the same pattern up to renumbering
-    the s2-cycles, so it visits one t per rotation orbit, in the necklace
-    walk of _walk_necklaces, and adds the orbit size.  The counts are then
-    those of the full pass with the s2-cycles of each pair renumbered, and
-    every consumer (K, J, the multirect and quadratic sums, the Catalan
-    check) folds over all colorings or labelings of the s2-cycles, so its
-    output is unchanged.  The canonical k-cycle has 100, 314 and 1,046 keys
-    at k = 7, 8, 9.
+    A pair is read as t = s2^-1, which has the cycles of s2, and
+    s1 = pi o t.  One leaf routine tallies a chain t, pi o t, pi^2 o t, ...:
+    the s1 of each element is the next one, so one traversal of each element
+    labels its cycles and ORs the previous element's labels along them into
+    that element's masks, n + 1 traversals for n elements.  A k-cycle is
+    tallied as the canonical one c, whose conjugation maps factorizations
+    onto ones with the same pattern up to renumbering the s2-cycles: one
+    chain t, c o t, ..., c^(k-1) o t per orbit of _walk_chains, each element
+    weighted by p, as the orbit holds the p conjugate chains by c^a, a < p.
+    Any other pi runs each t of S(k) as a chain of one.  Every consumer (K,
+    J, the multirect and quadratic sums, the Catalan check) folds over all
+    colorings or labelings of the s2-cycles, so the renumbering leaves its
+    output unchanged.  The canonical k-cycle has 122, 415 and 1,431 keys at
+    k = 7, 8, 9.
     """
     if not is_perm(pi):
         raise ValueError(f"not a permutation: {pi}")
     k = len(pi)
     points = range(k)
     tally: Counter = Counter()
-    bit = [0] * k
+    old, new = [0] * k, [0] * k
 
-    def add_pair(t: Sequence[int], s1: Sequence[int], weight: int) -> None:
-        # The OR pass clears bit again; b ends as 1 << m2.
+    def add_chain(t: Sequence[int], weight: int) -> None:
+        # Traversal s follows x -> ring[t[x] + s].  The first, s = 0, only
+        # labels, in old; each s in shifts labels in new, ORs and clears old,
+        # and the lists swap; the last, s = k, only ORs and clears, so both
+        # lists end all zero.
+        nonlocal old, new
         b = 1
         for start in points:
-            if not bit[start]:
-                bit[start] = b
-                x = t[start]
-                while x != start:
-                    bit[x] = b
+            if not old[start]:
+                x = start
+                while not old[x]:
+                    old[x] = b
                     x = t[x]
                 b <<= 1
+        m2 = b.bit_length() - 1
+        for s in shifts:
+            masks = []
+            b = 1
+            for start in points:
+                if not new[start]:
+                    mask = 0
+                    x = start
+                    while not new[x]:
+                        new[x] = b
+                        mask |= old[x]
+                        old[x] = 0
+                        x = ring[t[x] + s]
+                    masks.append(mask)
+                    b <<= 1
+            masks.sort()
+            tally[m2, tuple(masks)] += weight
+            m2 = len(masks)
+            old, new = new, old
         masks = []
         for start in points:
-            mask = bit[start]
+            mask = old[start]
             if mask:
-                bit[start] = 0
-                x = s1[start]
+                old[start] = 0
+                x = ring[t[start] + k]
                 while x != start:
-                    mask |= bit[x]
-                    bit[x] = 0
-                    x = s1[x]
+                    mask |= old[x]
+                    old[x] = 0
+                    x = ring[t[x] + k]
                 masks.append(mask)
         masks.sort()
-        tally[b.bit_length() - 1, tuple(masks)] += weight
+        tally[m2, tuple(masks)] += weight
 
     if len(cycles(pi)) == 1:
-        _walk_necklaces(k, add_pair)
+        # c^s o t, s = 0..k, through the doubled ring of c; c^k o t = t
+        ring, shifts = [*points] * 2, range(1, k)
+        _walk_chains(k, add_chain)
     else:
-        target = [v - 1 for v in pi]
+        # t at s = 0, then s1 = pi o t at s = k
+        ring, shifts = [*points, *(v - 1 for v in pi)], ()
         for t in itertools.permutations(points):
-            add_pair(t, [target[v] for v in t], 1)
+            add_chain(t, 1)
     return tally

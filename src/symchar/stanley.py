@@ -8,9 +8,10 @@ maximum phi2-color over intersecting s2-cycles, and contributes
 sign(s1) * prod q_{phi1} * prod p_{phi2}.
 
 This sum and the J_k count run as folds over one pass of
-perms.factorization_patterns (100 distinct intersection patterns at k = 7,
-not k! pairs).  The sum counts the colorings of each pattern over a frontier
-of states, so it costs patterns x frontier states, not r^m2 colorings.
+perms.factorization_patterns (122 tally keys, intersection patterns, at
+k = 7, not k! pairs).  The sum counts the colorings of each pattern over a
+frontier of states, so it costs patterns x frontier states, not r^m2
+colorings.
 """
 
 from __future__ import annotations

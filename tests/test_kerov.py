@@ -242,13 +242,15 @@ def test_evaluation_against_oracle():
 def test_k9_and_j8_against_oracle():
     k9 = kerov_polynomial_by_counting(9)
     j8 = j_polynomial_by_counting(8)
+    j9 = j_polynomial_by_counting(9)
     shapes = [rows for n in (8, 9, 10) for rows in partitions(n)]
     assert len(shapes) == 94
     for rows in shapes:
         r_assign = {("R", j): v for j, v in r_vector(rows, 10).items()}
-        s_assign = {("S", j): v for j, v in s_vector(rows, 9).items()}
+        s_assign = {("S", j): v for j, v in s_vector(rows, 10).items()}
         assert k9.evaluate(r_assign) == normalized_character(rows, 9), rows
         assert j8.evaluate(s_assign) == normalized_character(rows, 8), rows
+        assert j9.evaluate(s_assign) == normalized_character(rows, 9), rows
 
 
 def test_evaluation_beyond_diagram_size():

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from symchar import functionals, kerov, perms, stanley, verify
+from symchar import charoracle, diagrams, functionals, kerov, perms, stanley, verify
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -148,6 +148,10 @@ def test_factorization_patterns_total(k):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_rotation_orbits_one_per_orbit(k):
+    # Brute force over S(k): each element of a visited chain, weighted p,
+    # stands for p elements of its orbit under conjugation by the cycle, so
+    # every such orbit gets a total weight equal to its size; and the chains
+    # visit each orbit under t -> c^i o t o c^j once, with p * k elements.
     cyc = [*range(1, k), 0]
     inv = [k - 1, *range(k - 1)]
     orbit_of = {}
@@ -159,21 +163,30 @@ def test_rotation_orbits_one_per_orbit(k):
                 u = tuple(cyc[u[inv[x]]] for x in range(k))
             for u in orbit:
                 orbit_of[u] = frozenset(orbit)
-    reps = []
+    chains = []
 
-    def visit(t, s1, size):
-        assert s1 == [cyc[x] for x in t]
-        reps.append((tuple(t), size))
+    def visit(t, p):
+        assert t[0] == 0
+        chains.append(([tuple((v + s) % k for v in t) for s in range(k)], p))
 
-    perms._walk_necklaces(k, visit)
-    assert len({orbit_of[t] for t, _ in reps}) == len(reps) == len(set(orbit_of.values()))
-    assert all(size == len(orbit_of[t]) for t, size in reps)
+    perms._walk_chains(k, visit)
+    weight = Counter()
+    for chain, p in chains:
+        assert len(set(chain)) == k
+        for u in chain:
+            weight[orbit_of[u]] += p
+    assert all(weight[orbit] == len(orbit) for orbit in set(orbit_of.values()))
+    assert sum(weight.values()) == factorial(k)
+    shift_orbits = [frozenset().union(*(orbit_of[u] for u in chain)) for chain, _ in chains]
+    assert len(set(shift_orbits)) == len(chains)
+    assert all(len(orbit) == p * k for orbit, (_, p) in zip(shift_orbits, chains))
+    assert sum(map(len, shift_orbits)) == factorial(k)
 
 
 def _orbit_tally_reference(k):
-    """The raw tally of a k-cycle by a second implementation of the pass: a
-    generator walk over the necklaces, one frame per position, and a leaf
-    that builds s1 and the labels afresh for each visit."""
+    """The tally of a k-cycle by the rotation-orbit pass: a generator walk
+    over the necklaces of d(x) = t(x) - x mod k, one frame per position, and
+    a leaf that builds s1 and the labels afresh for each visit."""
     t, d, free = [0] * k, [0] * k, [True] * k
 
     def walk(n, p):
@@ -217,13 +230,128 @@ def _orbit_tally_reference(k):
     return tally
 
 
+def _chain_tally_reference(k):
+    """The raw tally of a k-cycle by a second implementation of the chain
+    pass: a generator walk over the necklaces of the step sequence
+    e(x) = t(x+1) - t(x) - 1 mod k from t(0) = 0, one frame per position and
+    e(k-1) closing t back to 0, and a leaf that builds each chain element
+    u = c^s o t and its s1 = c o u afresh and numbers the cycles of u as
+    perms.cycles does."""
+    t, e, free = [0] * (k + 1), [0] * k, [True] * k
+
+    def walk(n, p):
+        # places t[n+1]; the point 0 is free until t[k] = t[0] takes it
+        if n == k:
+            if k % p == 0:
+                yield tuple(t[:k]), p
+            return
+        low = e[n - p] if n else 0
+        for en in range(low, k):
+            x = (t[n] + en + 1) % k
+            if free[x] and (x == 0) == (n == k - 1):
+                free[x] = False
+                t[n + 1], e[n] = x, en
+                yield from walk(n + 1, p if n and en == low else n + 1)
+                free[x] = True
+
+    tally = Counter()
+    for rep, weight in walk(0, 1):
+        for s in range(k):
+            u = tuple((v + s) % k + 1 for v in rep)
+            s1 = tuple(v % k + 1 for v in u)
+            s2_cycles = perms.cycles(u)
+            masks = sorted(sum(1 << j for j, c in enumerate(s2_cycles) if set(c) & set(cyc))
+                           for cyc in perms.cycles(s1))
+            tally[len(s2_cycles), tuple(masks)] += weight
+    return tally
+
+
 @pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 10)]
                          + [(3, 5, 6, 2, 1, 4)])
 def test_factorization_patterns_raw_tally(pi):
     # keys and weights as they are, not only up to renumbering the s2-cycles;
     # any k-cycle is tallied as the canonical one
     assert len(perms.cycles(pi)) == 1
-    assert perms.factorization_patterns(pi) == _orbit_tally_reference(len(pi))
+    assert perms.factorization_patterns(pi) == _chain_tally_reference(len(pi))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_chain_tally_matches_orbit_tally(k):
+    # the chain pass and the rotation-orbit pass it replaced agree up to
+    # renumbering the s2-cycles
+    assert _canonical(perms.factorization_patterns(perms.canonical_cycle(k))) == \
+        _canonical(_orbit_tally_reference(k))
+
+
+def _cycle_count_poly(pi):
+    """P_pi(x, y) = sum over s1 o s2 = pi of x^|C(s1)| y^|C(s2)|, as a
+    function, read off the pattern tally."""
+    counts = Counter()
+    for (m2, masks), n in perms.factorization_patterns(pi).items():
+        counts[len(masks), m2] += n
+    return lambda x, y: sum(n * x ** a * y ** b for (a, b), n in counts.items())
+
+
+def _differences(values):
+    """Delta^i f(0) for i = 0.. from f(0), f(1), ..."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+def check_jackson_form(k):
+    """The pass for the k-cycle adds up to k!, and in the basis
+    C(x, i) C(y, j) the coefficients of P_(1..k)(x, y) are
+    k! (k-1)! / ((i-1)! (j-1)! (k+1-i-j)!) (Jackson, Proc. AMS 1988), read
+    off by finite differences of P at 0 <= x, y <= k + 1."""
+    poly = _cycle_count_poly(perms.canonical_cycle(k))
+    grid = range(k + 2)
+    assert poly(1, 1) == factorial(k)
+    by_y = [_differences([poly(x, y) for x in grid]) for y in grid]
+    for i in grid:
+        for j, coeff in enumerate(_differences([by_y[y][i] for y in grid])):
+            want = (factorial(k) * factorial(k - 1)
+                    // (factorial(i - 1) * factorial(j - 1) * factorial(k + 1 - i - j))
+                    if i and j and i + j <= k + 1 else 0)
+            assert coeff == want, (k, i, j)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_jackson_form(k):
+    check_jackson_form(k)
+
+
+def _perm_of_type(cycle_type):
+    images, start = [], 1
+    for length in cycle_type:
+        images += [*range(start + 1, start + length), start]
+        start += length
+    return tuple(images)
+
+
+@pytest.mark.parametrize("cycle_type", [mu for k in range(1, 7) for mu in diagrams.partitions(k)],
+                         ids=str)
+def test_jucys_murphy_form(cycle_type):
+    # P_pi(x, y) = (1/k!) sum_lambda dim(lambda) chi^lambda(pi)
+    # prod_boxes (x + c)(y + c), c the content of the box: sum_s x^|C(s)| s
+    # is prod_i (x + J_i) in the Jucys-Murphy elements, which acts on the
+    # lambda-module as the content product.  Both sides have degree <= k in
+    # x and in y, so the (k + 1)^2 points of the grid fix them.
+    k = sum(cycle_type)
+    poly = _cycle_count_poly(_perm_of_type(cycle_type))
+    weights = [(charoracle.dimension(lam) * charoracle.mn_character(lam, cycle_type),
+                [col - row for row, length in enumerate(lam) for col in range(length)])
+               for lam in diagrams.partitions(k)]
+    for x in range(k + 1):
+        for y in range(k + 1):
+            total = 0
+            for weight, contents in weights:
+                for c in contents:
+                    weight *= (x + c) * (y + c)
+                total += weight
+            assert poly(x, y) * factorial(k) == total, (x, y)
 
 
 def test_factorization_patterns_rejects_non_permutation():
