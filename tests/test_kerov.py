@@ -229,14 +229,18 @@ def test_coefficients_nonnegative_integers_and_leading_term(k):
     assert poly.coefficient_of({("R", k + 1): 1}) == 1
 
 
+def check_k_at_diagrams(k, shapes):
+    """K_k by counting, evaluated at the R-values of each diagram, is the
+    normalized character Sigma_k there."""
+    poly = kerov_polynomial_by_counting(k)
+    for rows in shapes:
+        assign = {("R", j): v for j, v in r_vector(rows, k + 1).items()}
+        assert poly.evaluate(assign) == normalized_character(rows, k), rows
+
+
 def test_evaluation_against_oracle():
-    for rows in partitions_up_to(6):
-        n = sum(rows)
-        rvals = r_vector(rows, n + 1)
-        assign = {("R", j): v for j, v in rvals.items()}
-        for k in range(1, n + 1):
-            assert kerov_polynomial_by_counting(k).evaluate(assign) == \
-                normalized_character(rows, k)
+    for k in range(1, 7):
+        check_k_at_diagrams(k, [rows for rows in partitions_up_to(6) if sum(rows) >= k])
 
 
 def test_k9_and_j8_against_oracle():

@@ -122,14 +122,36 @@ def _patterns_by_brute_force(pi):
     return tally
 
 
+def _distinct_orders(items):
+    """Every ordering of items, once each however many items are equal."""
+    if not items:
+        yield ()
+    for item in set(items):
+        rest = list(items)
+        rest.remove(item)
+        for tail in _distinct_orders(rest):
+            yield (item, *tail)
+
+
 def _canonical(tally):
     """The tally with each pattern replaced by its least renumbering of the
-    s2-cycles: min over bijections of bit j to bit sigma[j] of the sorted masks."""
+    s2-cycles among those that list them by a signature: for each s1-cycle
+    that meets the s2-cycle, the number of s2-cycles it meets, sorted.  A
+    signature does not depend on the numbering, so that least renumbering is
+    an exact canonical form; only orders within runs of equal signature are
+    tried, and of two s2-cycles met by the same s1-cycles, which are
+    interchangeable, only one order."""
     out = Counter()
     for (m2, masks), n in tally.items():
+        sizes = [bin(mask).count("1") for mask in masks]
+        columns = sorted((sorted(size for size, mask in zip(sizes, masks) if mask >> j & 1),
+                          tuple(mask >> j & 1 for mask in masks)) for j in range(m2))
+        runs = [[column for _, column in run]
+                for _, run in itertools.groupby(columns, key=lambda sig_column: sig_column[0])]
         relabeled = min(
-            tuple(sorted(sum(1 << sigma[j] for j in range(m2) if mask >> j & 1) for mask in masks))
-            for sigma in itertools.permutations(range(m2)))
+            tuple(sorted(sum(column[i] << j for j, column in enumerate(itertools.chain(*order)))
+                         for i in range(len(masks))))
+            for order in itertools.product(*map(_distinct_orders, runs)))
         out[m2, relabeled] += n
     return out
 
@@ -165,8 +187,9 @@ def test_rotation_orbits_one_per_orbit(k):
                 orbit_of[u] = frozenset(orbit)
     chains = []
 
-    def visit(t, p):
+    def visit(t, e, p):
         assert t[0] == 0
+        assert e[:k] == [(t[(x + 1) % k] - t[x] - 1) % k for x in range(k)]
         chains.append(([tuple((v + s) % k for v in t) for s in range(k)], p))
 
     perms._walk_chains(k, visit)
@@ -269,10 +292,75 @@ def _chain_tally_reference(k):
 @pytest.mark.parametrize("pi", [perms.canonical_cycle(k) for k in range(1, 10)]
                          + [(3, 5, 6, 2, 1, 4)])
 def test_factorization_patterns_raw_tally(pi):
-    # keys and weights as they are, not only up to renumbering the s2-cycles;
-    # any k-cycle is tallied as the canonical one
+    # below the class walk's cutoff keys and weights as they are, not only up
+    # to renumbering the s2-cycles, from it on class by class; any k-cycle is
+    # tallied as the canonical one
     assert len(perms.cycles(pi)) == 1
-    assert perms.factorization_patterns(pi) == _chain_tally_reference(len(pi))
+    got, want = perms.factorization_patterns(pi), _chain_tally_reference(len(pi))
+    if len(pi) >= perms._CLASS_WALK_MIN_K:
+        got, want = _canonical(got), _canonical(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_class_walk_one_per_class(k):
+    # Brute force over S(k), with w(x) = -x mod k: a factorization s1 o s2 = c
+    # gives (w s2^-1 w) o (w s1^-1 w) = c, of the transposed pattern, and
+    # (w s1^-1 w) o (w s1 s2^-1 s1^-1 w) = c, of the same pattern.  Read on
+    # t = s2^-1, they map orbits under t -> c^i o t o c^j to orbits (rho and
+    # phi).  Each visit must open a new class {O, rho O, phi O, rho phi O},
+    # weight its chain by |O u phi O| / k and transpose iff rho O is neither;
+    # the classes must cover S(k).
+    def mul(a, b):
+        return tuple(a[v] for v in b)
+
+    def inv(a):
+        out = [0] * k
+        for x, v in enumerate(a):
+            out[v] = x
+        return tuple(out)
+
+    c, w = tuple((x + 1) % k for x in range(k)), tuple(-x % k for x in range(k))
+    orbit_of = {}
+    for t in itertools.permutations(range(k)):
+        if t not in orbit_of:
+            orbit = frozenset(tuple((t[(x + j) % k] + i) % k for x in range(k))
+                              for i in range(k) for j in range(k))
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+
+    def images(orbit):
+        t = next(iter(orbit))
+        s1, s2 = mul(c, t), inv(t)
+        pairs = [(mul(w, mul(inv(s2), w)), mul(w, mul(inv(s1), w))),
+                 (mul(w, mul(inv(s1), w)), mul(w, mul(s1, mul(inv(s2), mul(inv(s1), w)))))]
+        assert all(mul(a, b) == c for a, b in pairs)
+        return [orbit_of[inv(b)] for _, b in pairs]
+
+    covered, elements = set(), 0
+
+    def visit(t, weight, transposed):
+        nonlocal elements
+        orbit = orbit_of[tuple(t)]
+        rho, phi = images(orbit)
+        cls = {orbit, rho, phi, images(phi)[0]}
+        assert covered.isdisjoint(cls)
+        covered.update(cls)
+        assert weight * k == len(orbit | phi)
+        assert transposed == (rho not in (orbit, phi))
+        elements += weight * k * (1 + transposed)
+
+    perms._walk_classes(k, visit)
+    assert covered == set(orbit_of.values())
+    assert elements == factorial(k)
+
+
+@pytest.mark.parametrize("k", range(1, perms._CLASS_WALK_MIN_K))
+def test_class_walk_below_cutoff(k, monkeypatch):
+    # the class walk, run where the plain chain walk is the faster, tallies
+    # the same patterns up to renumbering
+    plain = perms.factorization_patterns(perms.canonical_cycle(k))
+    monkeypatch.setattr(perms, "_CLASS_WALK_MIN_K", 1)
+    assert _canonical(perms.factorization_patterns(perms.canonical_cycle(k))) == _canonical(plain)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
