@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -124,12 +124,10 @@ def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
 
 def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     """S_k for 2 <= k <= k_max as a map: s_functional_multirect on a
-    non-integral MultiRect, else the sum of s_functional_boxes over one tally
-    of boxes per content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
+    MultiRect, else the sum of s_functional_boxes over one tally of boxes per
+    content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
     if isinstance(diagram, MultiRect):
-        if not diagram.is_integral():
-            return {k: s_functional_multirect(diagram, k) for k in range(2, k_max + 1)}
-        diagram = diagram.to_partition()
+        return {k: s_functional_multirect(diagram, k) for k in range(2, k_max + 1)}
     tally = Counter()
     for i, r in enumerate(check_partition(diagram), 1):
         tally.update(range(1 - i, r + 1 - i))
@@ -142,44 +140,44 @@ def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     return out
 
 
-def _scaled_powers(s_values: Mapping[int, object], n: int) -> Iterator:
-    """Yield D, the lcm of the denominators of S_2..S_n, then for l = 1 ..
-    n // 2 the integer coefficients c[d] = [z^d] (sum_j D S_j z^j)^l for
-    d = 0..n, zero below 2l.  Every value goes through _as_fraction, so a
-    float or RatPoly raises TypeError."""
+def _r_from_s(s_values: Mapping[int, object], n: int, ks: Iterable[int]) -> dict[int, Fraction]:
+    """R_k for each k in ks (2 <= k <= n) from the exact S-values S_2..S_n by
+    the composition sum
+
+        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
+
+    where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
+    j_1+...+j_l = k of parts >= 2.  With D the lcm of the denominators, the
+    truncated powers of sum_j D S_j z^j to z^n are integer lists c_l,
+    O(n^3) products for all l <= L = n // 2, and [z^k] S(z)^l = c_l[k] / D^l,
+    zero below 2l; each R_k is summed over the one denominator L! D^L.
+    Every value goes through _as_fraction, so a float or RatPoly raises
+    TypeError."""
     for j in range(2, n + 1):
         if j not in s_values:
             raise KeyError(f"missing S_{j} value")
     vals = [_as_fraction(s_values[j]) for j in range(2, n + 1)]
     den = lcm(*(x.denominator for x in vals))
-    yield den
     ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
-    power = ints
-    for l in range(1, n // 2 + 1):
-        yield power
+    top, power = n // 2, ints
+    acc = dict.fromkeys(ks, 0)
+    for l in range(1, top + 1):
+        weight = factorial(top) // factorial(l) * den ** (top - l)
+        for k in acc:
+            if k >= 2 * l:
+                acc[k] += (1 - k) ** (l - 1) * weight * power[k]
         power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
                                      for d in range(2 * l + 2, n + 1)]
+    return {k: Fraction(a, factorial(top) * den ** top) for k, a in acc.items()}
 
 
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
-    """R_k from the exact S-values by the composition sum
-
-        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
-
-    where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
-    j_1+...+j_l = k of parts >= 2, read off the truncated powers of S(z) in
-    O(k^3) products.  With D the lcm of the denominators, [z^k] S(z)^l =
-    c_l / D^l for the integers c_l of _scaled_powers, summed over one
-    denominator L! D^L, L = k // 2.  S_{k-1} is never read: a part k - 1
-    would leave 1 for the others.
-    """
+    """R_k from the exact S-values S_2..S_k by the composition sum of
+    _r_from_s.  S_{k-1} is never read: a part k - 1 would leave 1 for the
+    others."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    powers = _scaled_powers({**s_values, k - 1: 0}, k)
-    den, top = next(powers), k // 2
-    total = sum((1 - k) ** (l - 1) * (factorial(top) // factorial(l)) * den ** (top - l) * c[k]
-                for l, c in enumerate(powers, 1))
-    return Fraction(total, factorial(top) * den ** top)
+    return _r_from_s({**s_values, k - 1: 0}, k, (k,))[k]
 
 
 def _partition_sums(family: str, low: int, top: int,
@@ -208,8 +206,8 @@ def r_in_terms_of_s(k: int) -> RatPoly:
         R_k = sum_mu (1-k)^(l-1) / prod_i m_i! * S_mu,
 
     l the number of parts of mu and m_i the multiplicity of part i.  It is
-    the composition sum of free_cumulant_from_s with the l! / prod_i m_i!
-    orderings of mu in [z^k] S(z)^l gathered into one term.
+    the composition sum of _r_from_s with the l! / prod_i m_i! orderings of
+    mu in [z^k] S(z)^l gathered into one term.
 
     >>> print(r_in_terms_of_s(4))
     S4 - 3/2*S2^2
@@ -220,26 +218,15 @@ def r_in_terms_of_s(k: int) -> RatPoly:
 
 
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
-    """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, by the
-    sum of free_cumulant_from_s over one set of truncated powers of S(z):
-    with the integer coefficients c_(l,d) of _scaled_powers for d <= k_max,
-    R_k = sum_l (1-k)^(l-1) c_(l,k) / (l! D^l) over the one denominator
-    L! D^L, L = k_max // 2.  That is O(k_max^3) products in all, where
-    calling free_cumulant_from_s for each k costs O(k_max^4)."""
-    if k_max < 2:
-        return {}
-    powers = _scaled_powers(s_values, k_max)
-    den, top = next(powers), k_max // 2
-    acc = [0] * (k_max + 1)
-    for l, c in enumerate(powers, 1):
-        weight = factorial(top) // factorial(l) * den ** (top - l)
-        for k in range(2 * l, k_max + 1):
-            acc[k] += (1 - k) ** (l - 1) * weight * c[k]
-    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, k_max + 1)}
+    """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, all from
+    the one set of truncated powers of _r_from_s: O(k_max^3) products in
+    all, where calling free_cumulant_from_s for each k costs O(k_max^4)."""
+    return _r_from_s(s_values, k_max, range(2, k_max + 1))
 
 
-def r_vector(rows: Partition, k_max: int) -> dict[int, Fraction]:
-    """R_k for 2 <= k <= k_max, computed from the S-values."""
+def r_vector(rows: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
+    """R_k for 2 <= k <= k_max of a partition or a multirectangle, from the
+    S-values of s_vector: the content tally or the corner form."""
     return r_vector_from_s(s_vector(rows, k_max), k_max)
 
 

@@ -136,12 +136,8 @@ def marriage_condition_flow(masks: Sequence[int], m2: int, colors: Sequence[int]
 
 
 def _compositions_fixed(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of `parts` integers >= 2 summing to total: the colorings of
+    """Tuples of `parts` >= 1 integers >= 2 summing to total: the colorings of
     the s2-cycles, with total |C(s1)| + |C(s2)|."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     if parts == 1:
         if total >= 2:
             yield (total,)

@@ -26,6 +26,7 @@ from symchar.functionals import (
     s_vector,
 )
 from symchar.ratpoly import RatPoly, S
+from symchar.verify import integral_multirects
 
 
 def test_single_box_s_functionals():
@@ -161,6 +162,18 @@ def test_s_multirect_corner_form_matches_symbolic():
                 m.assignment())
 
 
+def test_s_vector_one_route_per_multirect():
+    # s_vector reads every MultiRect, integral or not, by the corner form; on
+    # an integral one it must give the content tally of its partition
+    shapes = list(integral_multirects(3, 3)) + [MultiRect((0, 2, 1), (5, 3, 0))]
+    for m in shapes:
+        assert s_vector(m, 12) == s_vector(m.to_partition(), 12)
+    # a 10^6 x 10^6 square: the corner form costs O(r) powers, where a tally
+    # of its 10^12 boxes would never return
+    square = MultiRect((10 ** 6,), (10 ** 6,))
+    assert s_vector(square, 2)[2] == r_vector(square, 2)[2] == 10 ** 12
+
+
 def _compositions_ge2(total):
     # ordered tuples of integers >= 2 summing to total
     if total == 0:
@@ -205,7 +218,10 @@ def test_free_cumulant_from_s_rational_matches_symbolic():
 
 
 def test_r_vector_from_s_matches_free_cumulant_from_s():
-    # one set of series powers for the whole table, per-k sums as reference
+    # one set of series powers for the whole table, per-k sums as reference;
+    # those share the kernel _r_from_s, so the table is also checked against
+    # the composition sum, which shares no step with it, up to k = 19 (about
+    # 0.7 s for the six inputs; F(k-1) compositions at k)
     inputs = [s_vector(rows, 24) for rows in ((), (1,), (3, 2, 1), (7, 7, 4, 1))]
     inputs.append(s_vector(MultiRect.from_strings("1/2,3/2,5/3", "7/2,2,1"), 24))
     inputs.append({j: Fraction((-1) ** j * j, 7 + j) for j in range(2, 25)})
@@ -213,6 +229,7 @@ def test_r_vector_from_s_matches_free_cumulant_from_s():
         for k_max in (2, 3, 4, 5, 24):
             table = r_vector_from_s(svals, k_max)
             assert table == {k: free_cumulant_from_s(svals, k) for k in range(2, k_max + 1)}
+        assert all(table[k] == _r_by_composition_sum(svals, k) for k in range(2, 20))
     assert r_vector_from_s({}, 1) == {}
     with pytest.raises(KeyError, match="missing S_3 value"):
         r_vector_from_s({2: Fraction(1), 4: Fraction(1)}, 4)
