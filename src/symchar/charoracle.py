@@ -22,7 +22,7 @@ normalized_character_general, which stays an independent route to Sigma_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, perm, prod
 from typing import Sequence
 
 from symchar.diagrams import Partition, check_partition, conjugate
@@ -101,19 +101,25 @@ def hook_lengths(rows: Partition) -> list[int]:
 
 
 def dimension(rows: Partition) -> int:
-    """n! / product of hook lengths; the division is exact."""
+    """n! / product of hook lengths; the division is exact.  The columns
+    u' < j <= u, u a part and u' the next smaller one (or 0), all have height
+    c, the number of parts >= u, so in row i (from 0) the hooks over them are
+    the u - u' integers up to lam_i - i + c - u' - 1: one falling factorial
+    per (row, run of equal parts), not one factor per box."""
     rows = check_partition(rows)
     cached = _dim_cache.get(rows)
     if cached is not None:
         return cached
-    n = sum(rows)
-    denom = 1
-    for h in hook_lengths(rows):
-        denom *= h
-    num = factorial(n)
-    if num % denom:
-        raise ArithmeticError(f"hook product {denom} does not divide {n}!")
-    dim = num // denom
+    below = rows + (0,)
+    runs = [(c, below[c], u - below[c]) for c, u in enumerate(rows, 1) if below[c] < u]
+    denom, first = 1, 0
+    for i, lam in enumerate(rows):
+        if runs[first][0] == i:  # row i opens the next run
+            first += 1
+        denom *= prod(perm(lam - i + c - nxt - 1, w) for c, nxt, w in runs[first:])
+    dim, rest = divmod(factorial(sum(rows)), denom)
+    if rest:
+        raise ArithmeticError(f"hook product {denom} does not divide {sum(rows)}!")
     _dim_cache[rows] = dim
     return dim
 

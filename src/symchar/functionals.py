@@ -1,16 +1,16 @@
 """Shape functionals S_k and free cumulants R_k of Young diagrams, each
 available through several independent computation routes.
 
-S_k is (k-1) times the integral of contents^{k-2} over the diagram; it can
-be evaluated by box integrals grouped by content, from shifted Frobenius
-coordinates in doubled integers, or symbolically on a multirectangular
-diagram.  R_k is obtained from the exact S-values by truncated power-series
-composition over integers (one kernel serves one R_k and the whole table),
-as the leading coefficient of the dilated normalized character (a k-th
-finite difference), or by the minimal-factorization sum on multirectangular
-diagrams.  Symbolically, R_k in the S_j is the closed composition formula,
-one monomial per partition of k into parts >= 2; its inverse,
-kerov.s_in_terms_of_r, is the same partition sum with another coefficient.
+S_k is (k-1) times the integral of contents^{k-2} over the diagram: by box
+integrals grouped by content (summed by parts at the profile's corners), from
+doubled Frobenius coordinates, or symbolically on a multirectangular diagram.
+R_k comes from the exact S-values (the table by truncated power-series
+composition, one R_k as one coefficient of an exponential, both in integers),
+as the leading coefficient of the dilated normalized character (a k-th finite
+difference), or by the minimal-factorization sum on multirectangular diagrams.
+Symbolically, R_k in the S_j is the closed composition formula, one monomial
+per partition of k into parts >= 2; its inverse, kerov.s_in_terms_of_r, is the
+same partition sum with another coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from symchar import perms
 from symchar.charoracle import normalized_character
@@ -124,35 +124,39 @@ def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
 
 def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     """S_k for 2 <= k <= k_max as a map: s_functional_multirect on a
-    MultiRect, else the sum of s_functional_boxes over one tally of boxes per
-    content (row i holds 1-i .. lam_i-i), d^k stepped in k."""
+    MultiRect, else the sum of s_functional_boxes over one tally m_d of boxes
+    per content (row i holds 1-i .. lam_i-i), summed by parts:
+    k S_k = sum_d m_d ((d+1)^k - 2 d^k + (d-1)^k) = sum_d c_d d^k with
+    c_d = m_{d+1} - 2 m_d + m_{d-1}, nonzero only at the corners of the
+    profile, so each k reads about 2 (distinct parts) + 1 contents."""
     if isinstance(diagram, MultiRect):
         return {k: s_functional_multirect(diagram, k) for k in range(2, k_max + 1)}
     tally = Counter()
     for i, r in enumerate(check_partition(diagram), 1):
         tally.update(range(1 - i, r + 1 - i))
-    powers = {d: d * d for d in range(min(tally, default=0) - 1, max(tally, default=0) + 2)}
+    corners = [(d, c) for d in range(min(tally, default=0) - 1, max(tally, default=0) + 2)
+               if d and (c := tally[d + 1] - 2 * tally[d] + tally[d - 1])]
+    contents, weights = [d for d, _ in corners], [c * d for d, c in corners]
     out = {}
-    for k in range(2, k_max + 1):
-        out[k] = Fraction(sum(m * (powers[d + 1] - 2 * powers[d] + powers[d - 1])
-                              for d, m in tally.items()), k)
-        powers = {d: p * d for d, p in powers.items()}
+    for k in range(2, k_max + 1):  # weights holds c_d d^k
+        weights = [w * d for w, d in zip(weights, contents)]
+        out[k] = Fraction(sum(weights), k)
     return out
 
 
-def _r_from_s(s_values: Mapping[int, object], n: int, ks: Iterable[int]) -> dict[int, Fraction]:
-    """R_k for each k in ks (2 <= k <= n) from the exact S-values S_2..S_n by
-    the composition sum
+def _r_from_s(s_values: Mapping[int, object], n: int) -> dict[int, Fraction]:
+    """R_k for 2 <= k <= n from the exact S-values S_2..S_n by the
+    composition sum
 
         R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
 
     where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
     j_1+...+j_l = k of parts >= 2.  With D the lcm of the denominators, the
     truncated powers of sum_j D S_j z^j to z^n are integer lists c_l,
-    O(n^3) products for all l <= L = n // 2, and [z^k] S(z)^l = c_l[k] / D^l,
-    zero below 2l; each R_k is summed over the one denominator L! D^L.
-    Every value goes through _as_fraction, so a float or RatPoly raises
-    TypeError."""
+    O(n^3) products for all l <= L = n // 2, shared by every k, and
+    [z^k] S(z)^l = c_l[k] / D^l, zero below 2l; each R_k is summed over the
+    one denominator L! D^L.  Every value goes through _as_fraction, so a
+    float or RatPoly raises TypeError."""
     for j in range(2, n + 1):
         if j not in s_values:
             raise KeyError(f"missing S_{j} value")
@@ -160,24 +164,42 @@ def _r_from_s(s_values: Mapping[int, object], n: int, ks: Iterable[int]) -> dict
     den = lcm(*(x.denominator for x in vals))
     ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
     top, power = n // 2, ints
-    acc = dict.fromkeys(ks, 0)
+    acc = [0] * (n + 1)
     for l in range(1, top + 1):
         weight = factorial(top) // factorial(l) * den ** (top - l)
-        for k in acc:
-            if k >= 2 * l:
-                acc[k] += (1 - k) ** (l - 1) * weight * power[k]
+        for k in range(2 * l, n + 1):
+            acc[k] += (1 - k) ** (l - 1) * weight * power[k]
         power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
                                      for d in range(2 * l + 2, n + 1)]
-    return {k: Fraction(a, factorial(top) * den ** top) for k, a in acc.items()}
+    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, n + 1)}
 
 
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
-    """R_k from the exact S-values S_2..S_k by the composition sum of
-    _r_from_s.  S_{k-1} is never read: a part k - 1 would leave 1 for the
-    others."""
+    """R_k from the exact S-values S_2..S_k as one coefficient of an
+    exponential, R_k = [z^k] (exp((1-k) S(z)) - 1) / (1-k): the composition
+    sum of _r_from_s summed over l.  From E' = (1-k) S' E, with D the lcm of
+    the denominators and s_j = D S_j, the integers F_n = n! D^n E_n obey
+    F_0 = 1, F_1 = 0 and F_n = sum_j j (1-k) s_j D^(j-1) (n-1)!/(n-j)! F_{n-j},
+    and R_k = F_k / ((1-k) k! D^k): O(k^2) products.  S_{k-1} meets only
+    F_1 = 0, so it is never read; a float or RatPoly value raises TypeError."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _r_from_s({**s_values, k - 1: 0}, k, (k,))[k]
+    parts = [j for j in range(2, k + 1) if j != k - 1]
+    for j in parts:
+        if j not in s_values:
+            raise KeyError(f"missing S_{j} value")
+    vals = {j: _as_fraction(s_values[j]) for j in parts}
+    den = lcm(*(x.denominator for x in vals.values()))
+    ints = {j: j * (1 - k) * x.numerator * (den // x.denominator) * den ** (j - 1)
+            for j, x in vals.items()}
+    f = [1, 0] + [0] * (k - 1)
+    for n in parts:
+        fall = 1  # (n-1)!/(n-j)!
+        for j in range(2, n + 1):
+            fall *= n - j + 1
+            if j != n - 1:
+                f[n] += ints[j] * fall * f[n - j]
+    return Fraction(f[k], (1 - k) * factorial(k) * den ** k)
 
 
 def _partition_sums(family: str, low: int, top: int,
@@ -220,8 +242,10 @@ def r_in_terms_of_s(k: int) -> RatPoly:
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
     """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, all from
     the one set of truncated powers of _r_from_s: O(k_max^3) products in
-    all, where calling free_cumulant_from_s for each k costs O(k_max^4)."""
-    return _r_from_s(s_values, k_max, range(2, k_max + 1))
+    all.  Calling free_cumulant_from_s for each k also takes O(k_max^3), but
+    shares nothing across k and carries n! D^n: about 10x slower at
+    k_max = 100."""
+    return _r_from_s(s_values, k_max)
 
 
 def r_vector(rows: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:

@@ -253,7 +253,12 @@ class RatPoly:
         (C c)(D x)^e D^(top-|e|) over C D^top, top the largest degree, so
         the sum runs in integers and one Fraction is built at the end.
         """
-        values = {make_var(*v): _as_fraction(x) for v, x in assignment.items()}
+        values = {}
+        for v, x in assignment.items():
+            if (type(v) is not tuple or len(v) != 2 or v[0] not in _MIN_INDEX
+                    or v[1] < _MIN_INDEX[v[0]]):
+                v = make_var(*v)  # the general path, which raises on a bad key
+            values[v] = x if isinstance(x, Fraction) else _as_fraction(x)
         used = self.variables()
         missing = used - values.keys()
         if missing:

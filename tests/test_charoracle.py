@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -64,6 +64,23 @@ def test_dimension_examples():
         assert dimension((n,)) == 1
     assert dimension((4, 3, 1)) == 70
     assert sorted(hook_lengths((4, 3, 1))) == sorted([6, 4, 3, 1, 4, 2, 1, 1])
+
+
+def _dimension_by_boxes(rows):
+    return factorial(sum(rows)) // prod(hook_lengths(rows))
+
+
+def test_dimension_by_runs_matches_hook_product():
+    # one falling factorial per (row, run of equal parts) against the
+    # box-by-box hook product, caches cleared so that every value is computed
+    charoracle.clear_caches()
+    for rows in partitions_up_to(14):
+        assert dimension(rows) == _dimension_by_boxes(rows), rows
+    two_rows = [(600, 500), (700, 400), (800, 800), (1000, 100), (1599, 1), (1100,)]
+    staircase = tuple(range(140, 0, -1))
+    for rows in two_rows + [staircase, (30,) * 30]:
+        assert dimension(rows) == _dimension_by_boxes(rows), rows
+    charoracle.clear_caches()
 
 
 def test_dimension_squares_sum_to_group_order():

@@ -66,6 +66,33 @@ def test_s_vector_matches_per_box_sum():
         assert s_vector(rows, 16) == {k: _s_by_boxes(rows, k) for k in range(2, 17)}
 
 
+def _s_by_content_tally(rows, k_max):
+    # one term per content: m_d boxes of content d add m_d ((d+1)^k - 2 d^k + (d-1)^k)
+    tally = Counter(j - i for i, r in enumerate(rows, 1) for j in range(1, r + 1))
+    return {k: Fraction(sum(m * ((d + 1) ** k - 2 * d ** k + (d - 1) ** k)
+                            for d, m in tally.items()), k)
+            for k in range(2, k_max + 1)}
+
+
+def _random_partition(rng, n):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, min(n, rng.choice((5, 40, n)))))
+        n -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_s_vector_summed_by_parts_matches_content_tally():
+    # s_vector reads the second difference of the tally at the corners only
+    for rows in partitions_up_to(12):
+        assert s_vector(rows, 14) == _s_by_content_tally(rows, 14), rows
+    assert s_vector((), 40) == _s_by_content_tally((), 40) == {k: 0 for k in range(2, 41)}
+    rng = random.Random(31)
+    for n in (100, 250, 500, 750, 1000):
+        rows = _random_partition(rng, n)
+        assert s_vector(rows, 40) == _s_by_content_tally(rows, 40), rows
+
+
 def _s_by_half_shifts(fc, k):
     half = Fraction(1, 2)
     total = Fraction(0)
@@ -218,10 +245,10 @@ def test_free_cumulant_from_s_rational_matches_symbolic():
 
 
 def test_r_vector_from_s_matches_free_cumulant_from_s():
-    # one set of series powers for the whole table, per-k sums as reference;
-    # those share the kernel _r_from_s, so the table is also checked against
-    # the composition sum, which shares no step with it, up to k = 19 (about
-    # 0.7 s for the six inputs; F(k-1) compositions at k)
+    # the table from one set of series powers against the one coefficient of
+    # an exponential per k, two kernels that share no code; the table is also
+    # checked against the composition sum up to k = 19 (about 0.7 s for the
+    # six inputs; F(k-1) compositions at k)
     inputs = [s_vector(rows, 24) for rows in ((), (1,), (3, 2, 1), (7, 7, 4, 1))]
     inputs.append(s_vector(MultiRect.from_strings("1/2,3/2,5/3", "7/2,2,1"), 24))
     inputs.append({j: Fraction((-1) ** j * j, 7 + j) for j in range(2, 25)})
@@ -230,6 +257,10 @@ def test_r_vector_from_s_matches_free_cumulant_from_s():
             table = r_vector_from_s(svals, k_max)
             assert table == {k: free_cumulant_from_s(svals, k) for k in range(2, k_max + 1)}
         assert all(table[k] == _r_by_composition_sum(svals, k) for k in range(2, 20))
+    # a rational multirectangle deep into the table
+    svals = s_vector(MultiRect((Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)),
+                               (Fraction(7, 2), 2, 1)), 60)
+    assert r_vector_from_s(svals, 60) == {k: free_cumulant_from_s(svals, k) for k in range(2, 61)}
     assert r_vector_from_s({}, 1) == {}
     with pytest.raises(KeyError, match="missing S_3 value"):
         r_vector_from_s({2: Fraction(1), 4: Fraction(1)}, 4)
@@ -261,10 +292,20 @@ def test_free_cumulant_from_s_examples():
         normalized_character((2, 1), 3)
     with pytest.raises(KeyError, match="missing S_4 value"):
         free_cumulant_from_s({2: Fraction(3)}, 4)
+    with pytest.raises(KeyError, match="missing S_3 value"):
+        free_cumulant_from_s({2: 1, 4: 1, 5: 1, 6: 1}, 6)
+    with pytest.raises(KeyError, match="missing S_6 value"):
+        free_cumulant_from_s({2: 1, 3: 1, 4: 1, 5: 1}, 6)
+    for bad in (0.5, S(2)):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            free_cumulant_from_s({2: 1, 3: bad, 4: 1, 5: 1, 6: 1}, 6)
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            free_cumulant_from_s({2: 1, 3: 1, 4: 1, 5: 1, 6: bad}, 6)
     # no composition of k into parts >= 2 uses S_{k-1}
     svals = s_vector((4, 3, 1), 6)
     del svals[5]
     assert free_cumulant_from_s(svals, 6) == r_vector((4, 3, 1), 6)[6]
+    assert free_cumulant_from_s({**svals, 5: 0.5}, 6) == r_vector((4, 3, 1), 6)[6]
 
 
 def test_free_cumulant_by_interpolation_examples():

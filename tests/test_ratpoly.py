@@ -74,16 +74,24 @@ def test_evaluate():
     assert f.evaluate({("p", 1): 2, ("q", 1): 2}) == 0
     with pytest.raises(KeyError):
         S(2).evaluate({("S", 3): 1})
-    # the whole assignment is validated, also the variables that do not occur
-    with pytest.raises(TypeError):
+    # the whole assignment is validated, also the variables that do not occur,
+    # with the messages of make_var and _as_fraction
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
         S(2).evaluate({("S", 2): 1, ("S", 3): 0.5})
     # values must be int or Fraction; text is not parsed
     with pytest.raises(TypeError):
         S(2).evaluate({("S", 2): "1/2"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index 1 too small for family 'S'"):
         S(2).evaluate({("S", 2): 1, ("S", 1): 0})
+    with pytest.raises(ValueError, match="index 0 too small for family 'q'"):
+        S(2).evaluate({("q", 0): 1})
+    with pytest.raises(ValueError, match="unknown variable family 'T'"):
+        S(2).evaluate({("S", 2): 1, ("T", 2): 1})
     with pytest.raises(KeyError, match="assignment missing variables: R2, S3"):
         (S(3) * R(2) + S(2)).evaluate({("S", 2): 1})
+    # a one-entry key names index 1, and a bool is an exact int
+    assert (P(1) * Q(1)).evaluate({("p",): 2, ("q", 1): Fraction(3, 2)}) == 3
+    assert S(2).evaluate({("S", 2): True}) == 1
 
 
 def test_substitute():
