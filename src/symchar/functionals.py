@@ -144,41 +144,11 @@ def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     return out
 
 
-def _r_from_s(s_values: Mapping[int, object], n: int) -> dict[int, Fraction]:
-    """R_k for 2 <= k <= n from the exact S-values S_2..S_n by the
-    composition sum
-
-        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
-
-    where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
-    j_1+...+j_l = k of parts >= 2.  With D the lcm of the denominators, the
-    truncated powers of sum_j D S_j z^j to z^n are integer lists c_l,
-    O(n^3) products for all l <= L = n // 2, shared by every k, and
-    [z^k] S(z)^l = c_l[k] / D^l, zero below 2l; each R_k is summed over the
-    one denominator L! D^L.  Every value goes through _as_fraction, so a
-    float or RatPoly raises TypeError."""
-    for j in range(2, n + 1):
-        if j not in s_values:
-            raise KeyError(f"missing S_{j} value")
-    vals = [_as_fraction(s_values[j]) for j in range(2, n + 1)]
-    den = lcm(*(x.denominator for x in vals))
-    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
-    top, power = n // 2, ints
-    acc = [0] * (n + 1)
-    for l in range(1, top + 1):
-        weight = factorial(top) // factorial(l) * den ** (top - l)
-        for k in range(2 * l, n + 1):
-            acc[k] += (1 - k) ** (l - 1) * weight * power[k]
-        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
-                                     for d in range(2 * l + 2, n + 1)]
-    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, n + 1)}
-
-
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
     """R_k from the exact S-values S_2..S_k as one coefficient of an
     exponential, R_k = [z^k] (exp((1-k) S(z)) - 1) / (1-k): the composition
-    sum of _r_from_s summed over l.  From E' = (1-k) S' E, with D the lcm of
-    the denominators and s_j = D S_j, the integers F_n = n! D^n E_n obey
+    sum of r_vector_from_s summed over l.  From E' = (1-k) S' E, with D the
+    lcm of the denominators and s_j = D S_j, the integers F_n = n! D^n E_n obey
     F_0 = 1, F_1 = 0 and F_n = sum_j j (1-k) s_j D^(j-1) (n-1)!/(n-j)! F_{n-j},
     and R_k = F_k / ((1-k) k! D^k): O(k^2) products.  S_{k-1} meets only
     F_1 = 0, so it is never read; a float or RatPoly value raises TypeError."""
@@ -228,8 +198,8 @@ def r_in_terms_of_s(k: int) -> RatPoly:
         R_k = sum_mu (1-k)^(l-1) / prod_i m_i! * S_mu,
 
     l the number of parts of mu and m_i the multiplicity of part i.  It is
-    the composition sum of _r_from_s with the l! / prod_i m_i! orderings of
-    mu in [z^k] S(z)^l gathered into one term.
+    the composition sum of r_vector_from_s with the l! / prod_i m_i!
+    orderings of mu in [z^k] S(z)^l gathered into one term.
 
     >>> print(r_in_terms_of_s(4))
     S4 - 3/2*S2^2
@@ -240,12 +210,35 @@ def r_in_terms_of_s(k: int) -> RatPoly:
 
 
 def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fraction]:
-    """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max, all from
-    the one set of truncated powers of _r_from_s: O(k_max^3) products in
-    all.  Calling free_cumulant_from_s for each k also takes O(k_max^3), but
-    shares nothing across k and carries n! D^n: about 10x slower at
-    k_max = 100."""
-    return _r_from_s(s_values, k_max)
+    """R_k for 2 <= k <= k_max from the exact S-values S_2..S_k_max by the
+    composition sum
+
+        R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
+
+    where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
+    j_1+...+j_l = k of parts >= 2.  With D the lcm of the denominators, the
+    truncated powers of sum_j D S_j z^j to z^k_max are integer lists c_l,
+    O(k_max^3) products for all l <= L = k_max // 2, shared by every k, and
+    [z^k] S(z)^l = c_l[k] / D^l, zero below 2l; each R_k is summed over the
+    one denominator L! D^L.  Calling free_cumulant_from_s for each k also
+    takes O(k_max^3), but shares nothing across k and carries n! D^n: about
+    10x slower at k_max = 100.  A missing S_j raises KeyError, and a float
+    or RatPoly value TypeError."""
+    for j in range(2, k_max + 1):
+        if j not in s_values:
+            raise KeyError(f"missing S_{j} value")
+    vals = [_as_fraction(s_values[j]) for j in range(2, k_max + 1)]
+    den = lcm(*(x.denominator for x in vals))
+    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
+    top, power = k_max // 2, ints
+    acc = [0] * (k_max + 1)
+    for l in range(1, top + 1):
+        weight = factorial(top) // factorial(l) * den ** (top - l)
+        for k in range(2 * l, k_max + 1):
+            acc[k] += (1 - k) ** (l - 1) * weight * power[k]
+        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
+                                     for d in range(2 * l + 2, k_max + 1)]
+    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, k_max + 1)}
 
 
 def r_vector(rows: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:

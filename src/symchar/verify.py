@@ -259,52 +259,36 @@ def check_dilation_polynomiality(max_n: int, max_k: int):
 
 
 def run_checks(max_n: int, max_k: int) -> list[CheckResult]:
-    """The command-line verification suite, clipped to keep the default run
-    interactive; the named bound appears in each check name."""
+    """The command-line verification suite: one (name, check, *args) row per
+    check, its bounds clipped to keep the default run interactive; each
+    clipped bound is one local that the row's name and arguments both read."""
     if max_n <= 0 or max_k <= 0:
         return []
-    results = []
-
-    def record(name, fn, *args):
-        passed, detail = fn(*args)
-        results.append(CheckResult(name, passed, detail))
-
-    kk = max_k
-    record(f"s-box-vs-frobenius[n<={max_n},k<={kk}]",
-           check_s_box_vs_frobenius,
-           ((rows, functionals.s_vector(rows, kk)) for rows in partitions_up_to(max_n)))
-    record(f"s-multirect-vs-boxes[entries<=2,r<=2,k<={kk}]",
-           check_s_multirect_vs_boxes, 2, 2, kk, max_n)
-    record(f"r-composition-vs-interpolation[n<={min(max_n, 6)},k<={min(kk, 5)}]",
-           check_r_composition_vs_interpolation, partitions_up_to(min(max_n, 6)), min(kk, 5))
-    record(f"r-multirect-vs-composition[entries<=2,r<=2,k<={min(kk, 5)}]",
-           check_r_multirect, integral_multirects(2, 2, max_n), min(kk, 5))
-    record(f"kerov-count-vs-conversion[k<={min(kk, 6)}]",
-           check_kerov_count_vs_conversion, min(kk, 6))
-    record(f"j-count-vs-stanley[k<={min(kk, 5)}]",
-           check_j_count_vs_stanley, min(kk, 5))
-    record(f"eval-vs-oracle[n<={max_n},k<={min(kk, 8)}]",
-           check_eval_vs_oracle, max_n, min(kk, 8))
-    record(f"stanley-vs-oracle[k<={min(kk, 4)},r<=2,entries<=2]",
-           check_stanley_character_vs_oracle, min(kk, 4), 2, 2)
-    record(f"s-coefficient-formula[k<={min(kk, 7)}]",
-           check_s_coefficient_formula, min(kk, 7))
-    record(f"bracket-identity[k<={min(kk, 6)},j1+j2<=7]",
-           check_bracket_identity, min(kk, 6), 7)
-    record(f"order-independence[k<={min(kk, 5)},l<=3]",
-           check_order_does_not_matter, min(kk, 5))
-    record(f"r-from-s-truncation[k<={min(kk, 10)}]",
-           check_rands_truncation, min(kk, 10))
-    record(f"graded-leading-term[k<={min(kk, 6)}]",
-           check_graded_leading_term, min(kk, 6))
-    record(f"homogeneity[n*s^2<=36,k<={min(kk, 6)}]",
-           check_homogeneity, 36, min(kk, 6))
-    record(f"marriage-subset-vs-flow[k<={min(kk, 5)}]",
-           check_marriage_equivalence, min(kk, 5))
-    record(f"catalan-minimal-factorizations[k<={min(kk, 7)}]",
-           check_catalan_minimal_factorizations, min(kk, 7))
-    record(f"quadratic-count-vs-derivative[k<={min(kk, 6)}]",
-           check_quadratic_vs_derivative, min(kk, 6))
-    record(f"dilation-polynomiality[n<={min(max_n, 4)},k<={min(kk, 5)}]",
-           check_dilation_polynomiality, max_n, min(kk, 5))
-    return results
+    n4, n6 = min(max_n, 4), min(max_n, 6)
+    k4, k5, k6, k7, k8, k10 = (min(max_k, b) for b in (4, 5, 6, 7, 8, 10))
+    suite = [
+        (f"s-box-vs-frobenius[n<={max_n},k<={max_k}]", check_s_box_vs_frobenius,
+         ((rows, functionals.s_vector(rows, max_k)) for rows in partitions_up_to(max_n))),
+        (f"s-multirect-vs-boxes[entries<=2,r<=2,k<={max_k}]", check_s_multirect_vs_boxes,
+         2, 2, max_k, max_n),
+        (f"r-composition-vs-interpolation[n<={n6},k<={k5}]", check_r_composition_vs_interpolation,
+         partitions_up_to(n6), k5),
+        (f"r-multirect-vs-composition[entries<=2,r<=2,k<={k5}]", check_r_multirect,
+         integral_multirects(2, 2, max_n), k5),
+        (f"kerov-count-vs-conversion[k<={k6}]", check_kerov_count_vs_conversion, k6),
+        (f"j-count-vs-stanley[k<={k5}]", check_j_count_vs_stanley, k5),
+        (f"eval-vs-oracle[n<={max_n},k<={k8}]", check_eval_vs_oracle, max_n, k8),
+        (f"stanley-vs-oracle[k<={k4},r<=2,entries<=2]", check_stanley_character_vs_oracle,
+         k4, 2, 2),
+        (f"s-coefficient-formula[k<={k7}]", check_s_coefficient_formula, k7),
+        (f"bracket-identity[k<={k6},j1+j2<=7]", check_bracket_identity, k6, 7),
+        (f"order-independence[k<={k5},l<=3]", check_order_does_not_matter, k5),
+        (f"r-from-s-truncation[k<={k10}]", check_rands_truncation, k10),
+        (f"graded-leading-term[k<={k6}]", check_graded_leading_term, k6),
+        (f"homogeneity[n*s^2<=36,k<={k6}]", check_homogeneity, 36, k6),
+        (f"marriage-subset-vs-flow[k<={k5}]", check_marriage_equivalence, k5),
+        (f"catalan-minimal-factorizations[k<={k7}]", check_catalan_minimal_factorizations, k7),
+        (f"quadratic-count-vs-derivative[k<={k6}]", check_quadratic_vs_derivative, k6),
+        (f"dilation-polynomiality[n<={n4},k<={k5}]", check_dilation_polynomiality, n4, k5),
+    ]
+    return [CheckResult(name, *check(*args)) for name, check, *args in suite]

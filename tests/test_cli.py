@@ -188,7 +188,7 @@ def test_cumulants_detects_route_fault(capsys, monkeypatch, route, diagram):
 BOXES_ERROR = "error: the diagram must have at most 10000 boxes, rows and columns\n"
 DIGITS_ERROR = ("symchar cumulants: error: the entries of --p/--q must have at most 100 digits"
                 " each\n")
-ENTRIES_ERROR = "symchar cumulants: error: --p and --q must have at most 100 entries each\n"
+ENTRIES_ERROR = "symchar cumulants: error: --p and --q must have at most 24 entries each\n"
 
 
 def _large_denominators(n):
@@ -220,10 +220,13 @@ def _large_denominators(n):
     (("cumulants", "--p", "1", "--q", "1e-10000000", "--max-k", "2"), DIGITS_ERROR),
     (("cumulants", "--p", "1/2," + "1" * 101, "--q", "2,1"), DIGITS_ERROR),
     # the entry count is bounded before any entry is parsed or sized
-    (("cumulants", "--p", _large_denominators(101), "--q", ",".join(["1"] * 101)), ENTRIES_ERROR),
-    (("cumulants", "--p", "1", "--q", ",".join(["1"] * 101)), ENTRIES_ERROR),
-    (("cumulants", "--p", _large_denominators(100), "--q", ",".join(["1"] * 100)),
+    (("cumulants", "--p", _large_denominators(25), "--q", ",".join(["1"] * 25)), ENTRIES_ERROR),
+    (("cumulants", "--p", "1", "--q", ",".join(["1"] * 25)), ENTRIES_ERROR),
+    (("cumulants", "--p", _large_denominators(24), "--q", ",".join(["1"] * 24)),
      "symchar cumulants: " + BOXES_ERROR),
+    # far past the bound, where sizing the entries would take seconds
+    (("cumulants", "--p", _large_denominators(1000), "--q", ",".join(["1"] * 1000)),
+     ENTRIES_ERROR),
 ])
 def test_oversize_input_exits_with_one_line(capsys, argv, message):
     start = time.perf_counter()

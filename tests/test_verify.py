@@ -79,6 +79,58 @@ def test_sigma_beta_set_vs_mn_random(rows, data):
     assert normalized_character(conjugate(rows), k) == (-1) ** (k - 1) * sigma
 
 
+# `symchar verify` prints these names, so they are pinned output, as literal
+# strings: each row's name must keep reading the bounds its arguments read.
+SUITE_6_5 = [
+    "s-box-vs-frobenius[n<=6,k<=5]",
+    "s-multirect-vs-boxes[entries<=2,r<=2,k<=5]",
+    "r-composition-vs-interpolation[n<=6,k<=5]",
+    "r-multirect-vs-composition[entries<=2,r<=2,k<=5]",
+    "kerov-count-vs-conversion[k<=5]",
+    "j-count-vs-stanley[k<=5]",
+    "eval-vs-oracle[n<=6,k<=5]",
+    "stanley-vs-oracle[k<=4,r<=2,entries<=2]",
+    "s-coefficient-formula[k<=5]",
+    "bracket-identity[k<=5,j1+j2<=7]",
+    "order-independence[k<=5,l<=3]",
+    "r-from-s-truncation[k<=5]",
+    "graded-leading-term[k<=5]",
+    "homogeneity[n*s^2<=36,k<=5]",
+    "marriage-subset-vs-flow[k<=5]",
+    "catalan-minimal-factorizations[k<=5]",
+    "quadratic-count-vs-derivative[k<=5]",
+    "dilation-polynomiality[n<=4,k<=5]",
+]
+SUITE_8_8 = [
+    "s-box-vs-frobenius[n<=8,k<=8]",
+    "s-multirect-vs-boxes[entries<=2,r<=2,k<=8]",
+    "r-composition-vs-interpolation[n<=6,k<=5]",
+    "r-multirect-vs-composition[entries<=2,r<=2,k<=5]",
+    "kerov-count-vs-conversion[k<=6]",
+    "j-count-vs-stanley[k<=5]",
+    "eval-vs-oracle[n<=8,k<=8]",
+    "stanley-vs-oracle[k<=4,r<=2,entries<=2]",
+    "s-coefficient-formula[k<=7]",
+    "bracket-identity[k<=6,j1+j2<=7]",
+    "order-independence[k<=5,l<=3]",
+    "r-from-s-truncation[k<=8]",
+    "graded-leading-term[k<=6]",
+    "homogeneity[n*s^2<=36,k<=6]",
+    "marriage-subset-vs-flow[k<=5]",
+    "catalan-minimal-factorizations[k<=7]",
+    "quadratic-count-vs-derivative[k<=6]",
+    "dilation-polynomiality[n<=4,k<=5]",
+]
+
+
+@pytest.mark.parametrize("max_n, max_k, names", [(6, 5, SUITE_6_5), (8, 8, SUITE_8_8)],
+                         ids=["default", "8-8"])
+def test_default_suite_names_in_order(max_n, max_k, names):
+    results = verify.run_checks(max_n, max_k)
+    assert [r.name for r in results] == names
+    assert all(r.passed for r in results)
+
+
 def _failed(results):
     return {r.name: r.detail for r in results if not r.passed}
 
