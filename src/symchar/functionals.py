@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from symchar import perms
@@ -42,8 +43,9 @@ def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     Q v_i +- Q and divided by Q^k, Q the common denominator of the coordinates."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    den = lcm(*(x.denominator for x in fc.A + fc.B))
-    u = [2 * x.numerator * (den // x.denominator) for x in fc.A + fc.B]
+    ratios = [x.as_integer_ratio() for x in fc.A + fc.B]
+    den = lcm(*(d for _, d in ratios))
+    u = [2 * n * (den // d) for n, d in ratios]
     total = sum((x + den) ** k - (x - den) ** k for x in u[:len(fc.A)])
     total += sum((-x - den) ** k - (den - x) ** k for x in u[len(fc.A):])
     return Fraction(total, k * (2 * den) ** k)
@@ -144,13 +146,30 @@ def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     return out
 
 
+def _graded_base(ratios: Mapping[int, tuple[int, int]]) -> int:
+    """The base c of the graded scaling of S_j by c^j, from S_j as a
+    (numerator, denominator) for each j in increasing order: c starts at 1
+    and takes, at each j, the part of the denominator of j S_j that c^j
+    lacks, so every c^j j S_j is an integer and c divides the lcm of the
+    denominators of the S_j.  It is 1 on a partition, where every j S_j is
+    an integer."""
+    c = 1
+    for j, (_, den) in ratios.items():
+        if j % den:
+            den //= gcd(j, den)
+            c *= den // gcd(den, c ** j)
+    return c
+
+
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
     """R_k from the exact S-values S_2..S_k as one coefficient of an
     exponential, R_k = [z^k] (exp((1-k) S(z)) - 1) / (1-k): the composition
-    sum of r_vector_from_s summed over l.  From E' = (1-k) S' E, with D the
-    lcm of the denominators and s_j = D S_j, the integers F_n = n! D^n E_n obey
-    F_0 = 1, F_1 = 0 and F_n = sum_j j (1-k) s_j D^(j-1) (n-1)!/(n-j)! F_{n-j},
-    and R_k = F_k / ((1-k) k! D^k): O(k^2) products.  S_{k-1} meets only
+    sum of r_vector_from_s summed over l.  E' = (1-k) S' E reads the
+    x_j = j S_j, and the series is graded, so with c = _graded_base, every
+    c^j x_j is an integer (c = 1 on a partition) and the integers
+    F_n = n! c^n E_n obey F_0 = 1, F_1 = 0 and
+    F_n = sum_j (1-k) c^j x_j (n-1)!/(n-j)! F_{n-j}, and
+    R_k = F_k / ((1-k) k! c^k): O(k^2) products.  S_{k-1} meets only
     F_1 = 0, so it is never read; a float or RatPoly value raises TypeError."""
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -158,18 +177,18 @@ def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:
     for j in parts:
         if j not in s_values:
             raise KeyError(f"missing S_{j} value")
-    vals = {j: _as_fraction(s_values[j]) for j in parts}
-    den = lcm(*(x.denominator for x in vals.values()))
-    ints = {j: j * (1 - k) * x.numerator * (den // x.denominator) * den ** (j - 1)
-            for j, x in vals.items()}
+    ratios = {j: _as_fraction(s_values[j]).as_integer_ratio() for j in parts}
+    c = _graded_base(ratios)
+    scaled = [0] * (k + 1)
+    for j, (num, den) in ratios.items():
+        scaled[j] = (1 - k) * j * num * c ** j // den
     f = [1, 0] + [0] * (k - 1)
     for n in parts:
         fall = 1  # (n-1)!/(n-j)!
         for j in range(2, n + 1):
             fall *= n - j + 1
-            if j != n - 1:
-                f[n] += ints[j] * fall * f[n - j]
-    return Fraction(f[k], (1 - k) * factorial(k) * den ** k)
+            f[n] += scaled[j] * fall * f[n - j]
+    return Fraction(f[k], (1 - k) * factorial(k) * c ** k)
 
 
 def _partition_sums(family: str, low: int, top: int,
@@ -216,29 +235,35 @@ def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fra
         R_k = sum_{l>=1} (1/l!) (1-k)^{l-1} [z^k] S(z)^l,  S(z) = sum_{j>=2} S_j z^j,
 
     where [z^k] S(z)^l sums S_{j_1} ... S_{j_l} over ordered tuples
-    j_1+...+j_l = k of parts >= 2.  With D the lcm of the denominators, the
-    truncated powers of sum_j D S_j z^j to z^k_max are integer lists c_l,
+    j_1+...+j_l = k of parts >= 2.  The series is graded, so each S_j is
+    scaled by D c^j: c = _graded_base, so that every c^j j S_j is an
+    integer (c = 1 on a partition), and D is the lcm of the
+    denominators of the c^j S_j, which divides lcm(2..k_max).  The truncated
+    powers of sum_j D c^j S_j z^j to z^k_max are integer lists P_l,
     O(k_max^3) products for all l <= L = k_max // 2, shared by every k, and
-    [z^k] S(z)^l = c_l[k] / D^l, zero below 2l; each R_k is summed over the
-    one denominator L! D^L.  Calling free_cumulant_from_s for each k also
-    takes O(k_max^3), but shares nothing across k and carries n! D^n: about
-    10x slower at k_max = 100.  A missing S_j raises KeyError, and a float
-    or RatPoly value TypeError."""
+    [z^k] S(z)^l = P_l[k] / (D^l c^k), zero below 2l; each R_k is summed
+    over the one denominator L! D^L c^k.  A missing S_j raises KeyError, and
+    a float or RatPoly value TypeError."""
     for j in range(2, k_max + 1):
         if j not in s_values:
             raise KeyError(f"missing S_{j} value")
-    vals = [_as_fraction(s_values[j]) for j in range(2, k_max + 1)]
-    den = lcm(*(x.denominator for x in vals))
-    ints = [0, 0] + [x.numerator * (den // x.denominator) for x in vals]
+    ratios = {j: _as_fraction(s_values[j]).as_integer_ratio() for j in range(2, k_max + 1)}
+    c = _graded_base(ratios)
+    if c > 1:  # c^j S_j, reduced
+        ratios = {j: (num * c ** j // g, den // g)
+                  for j, (num, den) in ratios.items() for g in [gcd(den, c ** j)]}
+    den = lcm(*(d for _, d in ratios.values()))
+    ints = [0, 0] + [num * (den // d) for num, d in ratios.values()]
     top, power = k_max // 2, ints
     acc = [0] * (k_max + 1)
     for l in range(1, top + 1):
         weight = factorial(top) // factorial(l) * den ** (top - l)
         for k in range(2 * l, k_max + 1):
             acc[k] += (1 - k) ** (l - 1) * weight * power[k]
-        power = [0] * (2 * l + 2) + [sum(power[e] * ints[d - e] for e in range(2 * l, d - 1))
+        power = [0] * (2 * l + 2) + [sum(map(mul, power[2 * l:d - 1], ints[d - 2 * l:1:-1]))
                                      for d in range(2 * l + 2, k_max + 1)]
-    return {k: Fraction(acc[k], factorial(top) * den ** top) for k in range(2, k_max + 1)}
+    whole = factorial(top) * den ** top
+    return {k: Fraction(acc[k], whole * c ** k) for k in range(2, k_max + 1)}
 
 
 def r_vector(rows: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:

@@ -1,3 +1,4 @@
+import random
 from math import factorial, prod
 
 import pytest
@@ -121,6 +122,44 @@ def test_normalized_matches_full_recursion():
     for k in range(1, 9):
         assert normalized_character((800, 520), k) == \
             normalized_character_general((800, 520), (k,))
+
+
+def _kernels_agree(rows, k):
+    beta, poles = charoracle._beta_poles(rows, k)
+    return charoracle._residue_series(beta, poles, k) == charoracle._beta_sum(beta, poles, k)
+
+
+def test_residue_series_matches_beta_sum():
+    # both kernels called directly, so each also meets the inputs that
+    # normalized_character sends to the other one, k > n included
+    for n in range(13):
+        for rows in partitions(n):
+            for k in range(1, n + 3):
+                assert _kernels_agree(rows, k), (rows, k)
+    rng = random.Random(23)
+    for n in (40, 120, 300, 450, 600):
+        for _ in range(3):
+            parts, left = [], n
+            while left:
+                parts.append(rng.randint(1, min(left, rng.choice((3, 2 * round(n ** 0.5), left)))))
+                left -= parts[-1]
+            rows = tuple(sorted(parts, reverse=True))
+            for k in range(1, 21):
+                assert _kernels_agree(rows, k), (rows, k)
+
+
+def test_normalized_character_picks_the_cheaper_kernel():
+    def takes_series(rows, k):
+        beta, poles = charoracle._beta_poles(rows, k)
+        return charoracle._takes_series(len(poles), k, len(beta))
+    # k in the thousands over one pole: the series would read k + 2 numbers
+    # of thousands of digits each, minutes where the sum takes milliseconds
+    assert not takes_series((3000, 2000), 2500)
+    assert not takes_series((1,) * 2000, 1999)
+    # a small k on a diagram of many rows
+    rows = (48, 45, 44, 40, 38, 33, 31, 30, 27, 27, 25, 24, 20, 19, 17, 16, 16,
+            15, 14, 12, 10, 9, 9, 7, 6, 5, 4, 3, 2, 2, 1, 1)
+    assert sum(rows) == 600 and takes_series(rows, 8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 50, 1999])

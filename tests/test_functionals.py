@@ -242,6 +242,17 @@ def test_free_cumulant_from_s_rational_matches_symbolic():
         for k in range(2, 13):
             want = r_in_terms_of_s(k).evaluate({("S", j): svals[j] for j in range(2, k + 1)})
             assert free_cumulant_from_s(svals, k) == want
+    # on a 1/9973 grid both kernels scale S_j by powers of c, built from the
+    # denominators, where one common denominator of all S_j holds 9973^40
+    grid = Fraction(1, 9973)
+    shapes = [MultiRect((grid,), (grid,)),
+              MultiRect((3 * grid, 5 * grid), (7 * grid, 2 * grid)),
+              MultiRect((grid, Fraction(1, 2), 9972 * grid), (4 * grid, 3 * grid, grid))]
+    for m in shapes:
+        svals = s_vector(m, 40)
+        table = r_vector_from_s(svals, 40)
+        assert all(free_cumulant_from_s(svals, k) == table[k] for k in range(2, 41))
+        assert table[2] == m.box_count()
 
 
 def test_r_vector_from_s_matches_free_cumulant_from_s():
