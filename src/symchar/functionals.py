@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -36,19 +37,52 @@ def s_functional_boxes(rows: Partition, k: int) -> Fraction:
     return s_vector(rows, k)[k]
 
 
-def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
-    """S_k = sum_i integral_{-1/2}^{1/2} (A_i+z)^{k-1} - (-B_i-z)^{k-1} dz,
-    in doubled integers: k 2^k S_k = sum_i (u_i+1)^k - (u_i-1)^k + (-v_i-1)^k -
-    (-v_i+1)^k for u_i = 2 A_i, v_i = 2 B_i, summed over the integers Q u_i +- Q,
-    Q v_i +- Q and divided by Q^k, Q the common denominator of the coordinates."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+# The power bases of the FrobeniusCoords read last: (those coordinates,
+# bases added, bases subtracted, common denominator).
+_frobenius_memo: tuple = (None, (), (), 1)
+
+
+def _frobenius_power_bases(fc: FrobeniusCoords) -> tuple[list[int], list[int], int]:
+    """The A_i +- 1/2 and -B_i -+ 1/2 as integers over one denominator Q:
+    the bases whose k-th powers add up to k Q^k S_k, split by sign, each
+    base netted once over all coordinates (so coordinates exactly 1 apart
+    cancel) and 0 dropped, as 0^k = 0 for k >= 2."""
     ratios = [x.as_integer_ratio() for x in fc.A + fc.B]
     den = lcm(*(d for _, d in ratios))
-    u = [2 * n * (den // d) for n, d in ratios]
-    total = sum((x + den) ** k - (x - den) ** k for x in u[:len(fc.A)])
-    total += sum((-x - den) ** k - (den - x) ** k for x in u[len(fc.A):])
-    return Fraction(total, k * (2 * den) ** k)
+    net = Counter()
+    for i, (n, d) in enumerate(ratios):
+        sign = 1 if i < len(fc.A) else -1
+        x = sign * 2 * n * (den // d)  # 2 A_i or -2 B_i, times den
+        net[x + den] += sign
+        net[x - den] -= sign
+    bases = {b: m for b, m in net.items() if b and m}
+    g = gcd(2 * den, *bases)
+    return ([b // g for b, m in bases.items() for _ in range(m)],
+            [b // g for b, m in bases.items() for _ in range(-m)], 2 * den // g)
+
+
+def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
+    """S_k = sum_i integral_{-1/2}^{1/2} (A_i+z)^{k-1} - (-B_i-z)^{k-1} dz,
+    so k S_k = sum_i (A_i+1/2)^k - (A_i-1/2)^k + (-B_i-1/2)^k - (-B_i+1/2)^k,
+    summed as k-th powers of the integer bases of _frobenius_power_bases
+    over Q^k.
+
+    The bases of the last coordinates read are kept in a one-entry memo,
+    keyed by the identity of `fc`, so the S_k of one FrobeniusCoords for
+    several k read its coordinates once.  Only a FrobeniusCoords whose two
+    fields are tuples is kept: one holding lists could change between
+    calls, and it is read again on every call."""
+    global _frobenius_memo
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    memo = _frobenius_memo
+    if memo[0] is not fc:
+        memo = (fc, *_frobenius_power_bases(fc))
+        if type(fc) is FrobeniusCoords and type(fc.A) is tuple and type(fc.B) is tuple:
+            _frobenius_memo = memo
+    _, added, taken, den = memo
+    return Fraction(sum(map(pow, added, repeat(k))) - sum(map(pow, taken, repeat(k))),
+                    k * den ** k)
 
 
 def _exponent_walk(variables: Sequence[Var], weights: Sequence[int],
@@ -146,19 +180,40 @@ def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     return out
 
 
+def _root(m: int, j: int) -> int:
+    """The j-th root of m >= 1, rounded down: Newton's method in integers
+    from a power of two above it, so no float is read."""
+    r = 1 << -(-m.bit_length() // j)
+    while (s := ((j - 1) * r + m // r ** (j - 1)) // j) < r:
+        r = s
+    return r
+
+
 def _graded_base(ratios: Mapping[int, tuple[int, int]]) -> int:
     """The base c of the graded scaling of S_j by c^j, from S_j as a
-    (numerator, denominator) for each j in increasing order: c starts at 1
-    and takes, at each j, the part of the denominator of j S_j that c^j
-    lacks, so every c^j j S_j is an integer and c divides the lcm of the
-    denominators of the S_j.  It is 1 on a partition, where every j S_j is
-    an integer."""
-    c = 1
+    (numerator, denominator) for each j in increasing order, such that every
+    c^j j S_j is an integer: 1 on a partition, where every j S_j is an
+    integer, and 9973 on a 1/9973 grid, where j S_j is over 9973^j.
+
+    Two such bases grow side by side.  At each j, each takes the part m of
+    the denominator of j S_j that its j-th power lacks: the first all of m,
+    the second the j-th root of m if m is an exact j-th power, else all of
+    m.  Neither always divides the other, but a base serves iff each prime's
+    exponent in it reaches e/j at every j, e that prime's exponent in the
+    denominator of j S_j, so their gcd serves.  It divides the first, and
+    with it the lcm of the denominators of the S_j."""
+    c = least = 1
     for j, (_, den) in ratios.items():
         if j % den:
             den //= gcd(j, den)
             c *= den // gcd(den, c ** j)
-    return c
+            m = den // gcd(den, least ** j)
+            if m >> j:  # a j-th power above 1 is at least 2^j
+                r = _root(m, j)
+                if r ** j == m:
+                    m = r
+            least *= m
+    return gcd(c, least)
 
 
 def free_cumulant_from_s(s_values: Mapping[int, object], k: int) -> Fraction:

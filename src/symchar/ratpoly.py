@@ -116,7 +116,7 @@ def _collect(pairs: Iterable[tuple[Mono, Fraction]]) -> dict[Mono, Fraction]:
 class RatPoly:
     """Immutable sparse polynomial; operations return fresh values."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_eval")
 
     def __init__(self, terms: Mapping | None = None):
         self._terms = _collect((normalize_mono(mono), _as_fraction(coeff))
@@ -159,6 +159,11 @@ class RatPoly:
         return NotImplemented
 
     __hash__ = None
+
+    def __getstate__(self):
+        # copies and pickles carry the terms alone: the form that evaluate
+        # keeps is derived from them
+        return None, {"_terms": self._terms}
 
     def __add__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -251,7 +256,10 @@ class RatPoly:
         Integer kernel: with D the lcm of the denominators of the values
         read and C that of the coefficients, a term c x^e of degree |e| is
         (C c)(D x)^e D^(top-|e|) over C D^top, top the largest degree, so
-        the sum runs in integers and one Fraction is built at the end.
+        the sum runs in integers and one Fraction is built at the end.  The
+        first call keeps what depends on the polynomial alone, the set of
+        variables that occur, C and each term as (C c, e, |e|), for the
+        calls after it.
         """
         values = {}
         for v, x in assignment.items():
@@ -259,21 +267,24 @@ class RatPoly:
                     or v[1] < _MIN_INDEX[v[0]]):
                 v = make_var(*v)  # the general path, which raises on a bad key
             values[v] = x if isinstance(x, Fraction) else _as_fraction(x)
-        used = self.variables()
+        try:
+            used, cden, terms = self._eval
+        except AttributeError:
+            cden = lcm(*(c.denominator for c in self._terms.values()))
+            used, terms = frozenset(self.variables()), tuple(
+                (c.numerator * (cden // c.denominator), mono, sum(e for _, e in mono))
+                for mono, c in self._terms.items())
+            self._eval = used, cden, terms
         missing = used - values.keys()
         if missing:
             names = ", ".join(sorted(var_name(v) for v in missing))
             raise KeyError(f"assignment missing variables: {names}")
         den = lcm(*(values[v].denominator for v in used))
         ints = {v: values[v].numerator * (den // values[v].denominator) for v in used}
-        cden = lcm(*(c.denominator for c in self._terms.values()))
         by_degree: dict[int, int] = {}
-        for mono, coeff in self._terms.items():
-            term = coeff.numerator * (cden // coeff.denominator)
-            degree = 0
+        for term, mono, degree in terms:
             for var, exp in mono:
                 term *= ints[var] ** exp
-                degree += exp
             by_degree[degree] = by_degree.get(degree, 0) + term
         top = max(by_degree, default=0)
         total = sum(t * den ** (top - d) for d, t in by_degree.items())

@@ -11,6 +11,7 @@ from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
     _dilation_difference,
+    _graded_base,
     _multirect_factorization_sum,
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
@@ -110,6 +111,28 @@ def test_s_functional_frobenius_rational_coordinates():
         fc = FrobeniusCoords(A, B)
         for k in range(2, 12):
             assert s_functional_frobenius(fc, k) == _s_by_half_shifts(fc, k)
+
+
+def test_s_functional_frobenius_memo_follows_its_coordinates():
+    # the power bases of the coordinates read last are kept, keyed by
+    # identity, so each call must still answer for the object it is given
+    big, small = frobenius((9, 7, 7, 4, 2, 1)), frobenius((5, 5, 2))
+    twin = FrobeniusCoords(tuple(Fraction(x) for x in big.A), tuple(Fraction(x) for x in big.B))
+    assert twin == big and twin is not big
+    # coordinates exactly 1 apart share a base that cancels, and A_1 = -B_2
+    # cancels both of their bases
+    apart = FrobeniusCoords((Fraction(10, 3), Fraction(7, 3), Fraction(2, 9)),
+                            (Fraction(1, 5), Fraction(-10, 3), Fraction(6, 5)))
+    for k in range(2, 14):
+        for fc in (big, small, big, twin, apart, small, apart):
+            assert s_functional_frobenius(fc, k) == _s_by_half_shifts(fc, k), (fc, k)
+    # a FrobeniusCoords of lists can change between calls: it is read afresh
+    A, B = [Fraction(5, 2), Fraction(1, 2)], [Fraction(3, 2), Fraction(1, 2)]
+    mutable = FrobeniusCoords(A, B)
+    first = s_functional_frobenius(mutable, 4)
+    assert first == _s_by_half_shifts(mutable, 4)
+    A[0] = Fraction(9, 2)
+    assert s_functional_frobenius(mutable, 4) == _s_by_half_shifts(mutable, 4) != first
 
 
 def test_s_functional_boxes_examples():
@@ -253,6 +276,18 @@ def test_free_cumulant_from_s_rational_matches_symbolic():
         table = r_vector_from_s(svals, 40)
         assert all(free_cumulant_from_s(svals, k) == table[k] for k in range(2, 41))
         assert table[2] == m.box_count()
+    # one grid box is the unit box scaled by 1/9973, and R_k(s lam) =
+    # s^k R_k(lam); j S_j is over 9973^j, so c = 9973 is the least base
+    svals = s_vector(shapes[0], 40)
+    assert _graded_base({j: v.as_integer_ratio() for j, v in svals.items()}) == 9973
+    unit = r_vector((1,), 40)
+    assert r_vector_from_s(svals, 40) == {k: unit[k] * grid ** k for k in range(2, 41)}
+    # here the j-th roots alone would give c = 200, twice the whole missing
+    # parts; the base is their gcd
+    m = MultiRect.from_strings("3/2,9/25,5/2", "4,1,3/4")
+    svals = s_vector(m, 20)
+    assert _graded_base({j: v.as_integer_ratio() for j, v in svals.items()}) == 100
+    assert r_vector_from_s(svals, 20) == {k: free_cumulant_from_s(svals, k) for k in range(2, 21)}
 
 
 def test_r_vector_from_s_matches_free_cumulant_from_s():

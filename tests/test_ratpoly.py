@@ -1,4 +1,6 @@
+import copy
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -203,13 +205,44 @@ value_st = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(f=poly_st, c=coeff_st, values=st.lists(value_st, min_size=len(VARS), max_size=len(VARS)))
 def test_evaluate_matches_term_by_term(f, c, values):
-    assign = dict(zip(VARS, values))
+    # the first call of each polynomial builds its evaluation form, the
+    # second, at other values, reads it
+    assigns = [dict(zip(VARS, values)), dict(zip(VARS, values[::-1]))]
     for poly in (f, f + c, RatPoly.const(c), RatPoly.zero()):
-        got = poly.evaluate(assign)
-        assert type(got) is Fraction
-        assert got == _evaluate_term_by_term(poly, assign)
+        for assign in assigns:
+            got = poly.evaluate(assign)
+            assert type(got) is Fraction
+            assert got == _evaluate_term_by_term(poly, assign)
     assert RatPoly.zero().evaluate({}) == 0
     assert RatPoly.const(c).evaluate({}) == c
+
+
+def test_evaluate_first_and_later_calls_agree():
+    # the same value and the same error before and after the evaluation form
+    # is kept; an error in the assignment is raised before it is built, a
+    # missing variable after
+    good = {("S", 2): Fraction(1, 3), ("S", 3): -2, ("R", 2): Fraction(5, 7), ("p", 1): 4}
+    bad = [({("S", 2): 1}, KeyError, "assignment missing variables: R2, S3"),
+           ({**good, ("S", 4): 0.5}, TypeError, "expected an exact rational, got float"),
+           ({**good, ("S", 1): 0}, ValueError, "index 1 too small for family 'S'"),
+           ({**good, ("T", 2): 0}, ValueError, "unknown variable family 'T'")]
+    want = Fraction(-2 * 25, 49) - Fraction(3, 4) * Fraction(1, 3) + 5
+    for assignment, error, message in bad:
+        f = S(3) * R(2) ** 2 - Fraction(3, 4) * S(2) + 5
+        text, pickled = str(f), pickle.dumps(f)
+        for _ in range(2):
+            with pytest.raises(error) as raised:
+                f.evaluate(assignment)
+            assert message in str(raised.value)
+            assert f.evaluate(good) == want
+        # the form is derived from the terms, so copies and pickles carry only
+        # the terms and compare, print and evaluate as before
+        assert pickle.dumps(f) == pickled
+        for twin in (copy.copy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and str(twin) == text
+            assert twin.evaluate(good) == want
+            with pytest.raises(error):
+                twin.evaluate(assignment)
 
 
 @settings(max_examples=40, deadline=None)
