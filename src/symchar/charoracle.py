@@ -49,6 +49,7 @@ from typing import Sequence
 
 from symchar.diagrams import Partition, check_partition, conjugate
 
+_MEMO_SIZE = 256  # entries per memo, oldest dropped first, as ratpoly.CACHE_SIZE
 _mn_cache: dict[tuple[Partition, Partition], int] = {}
 _dim_cache: dict[Partition, int] = {}
 
@@ -109,6 +110,8 @@ def _mn_recurse(rows: Partition, mu: Partition) -> int:
     rest = mu[1:]
     for smaller, height in _strip_removals(rows, mu[0]):
         total += (-1) ** height * _mn_recurse(smaller, rest)
+    if len(_mn_cache) >= _MEMO_SIZE:
+        del _mn_cache[next(iter(_mn_cache))]
     _mn_cache[key] = total
     return total
 
@@ -142,6 +145,8 @@ def dimension(rows: Partition) -> int:
     dim, rest = divmod(factorial(sum(rows)), denom)
     if rest:
         raise ArithmeticError(f"hook product {denom} does not divide {sum(rows)}!")
+    if len(_dim_cache) >= _MEMO_SIZE:
+        del _dim_cache[next(iter(_dim_cache))]
     _dim_cache[rows] = dim
     return dim
 

@@ -1,9 +1,9 @@
 """Shape functionals S_k and free cumulants R_k of Young diagrams, each
 available through several independent computation routes.
 
-S_k is (k-1) times the integral of contents^{k-2} over the diagram: by box
-integrals grouped by content (summed by parts at the profile's corners), from
-doubled Frobenius coordinates, or symbolically on a multirectangular diagram.
+S_k is (k-1) times the integral of contents^{k-2} over the diagram: one power
+sum over the minima and maxima of its profile (_profile), or over doubled
+Frobenius coordinates, or symbolically on a multirectangular diagram.
 R_k comes from the exact S-values (the table by truncated power-series
 composition, one R_k as one coefficient of an exponential, both in integers),
 as the leading coefficient of the dilated normalized character (a k-th finite
@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -29,24 +28,50 @@ from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partit
 from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _as_fraction
 
 
-def s_functional_boxes(rows: Partition, k: int) -> Fraction:
-    """S_k by exact box integrals of contents^{k-2}, grouped by content: a box
-    of content d contributes ((d+1)^k - 2 d^k + (d-1)^k) / k to S_k."""
+def _profile(diagram: Partition | MultiRect) -> tuple[int, list[int], list[int]]:
+    """(D, minima x, maxima y) of the profile, integers with k D^k S_k = sum x^k -
+    sum y^k: the contents of a partition's addable and removable boxes (D = 1),
+    or a MultiRect's corners D q_i - D Y_{i-1} and -D Y_r, and D q_i - D Y_i."""
+    if isinstance(diagram, MultiRect):
+        den = lcm(*(x.denominator for x in diagram.p + diagram.q))
+        minima, maxima, y = [], [], 0
+        for p, q in zip(diagram.p, diagram.q):
+            width = q.numerator * (den // q.denominator)
+            minima.append(width - y)
+            y += p.numerator * (den // p.denominator)
+            maxima.append(width - y)
+        return den, minima + [-y], maxima
+    rows = check_partition(diagram)
+    return (1, [r - i for i, r in enumerate(rows) if not i or r < rows[i - 1]] + [-len(rows)],
+            [r - i - 1 for i, r in enumerate(rows) if i == len(rows) - 1 or r > rows[i + 1]])
+
+
+def _power_sum(den: int, xs: Sequence[int], ys: Sequence[int], k: int) -> Fraction:
+    """S_k = (sum x^k - sum y^k) / (k den^k), from _profile or Frobenius bases."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return s_vector(rows, k)[k]
+    total = 0
+    for x in xs:
+        total += x ** k
+    for y in ys:
+        total -= y ** k
+    return Fraction(total, k * den ** k)
 
 
-# The power bases of the FrobeniusCoords read last: (those coordinates,
-# bases added, bases subtracted, common denominator).
-_frobenius_memo: tuple = (None, (), (), 1)
+def s_functional_boxes(rows: Partition, k: int) -> Fraction:
+    """S_k of a partition, s_vector's k-th entry: the _power_sum of its _profile,
+    the box integrals ((d+1)^k - 2 d^k + (d-1)^k) / k summed by parts."""
+    return _power_sum(*_profile(rows), k)
 
 
-def _frobenius_power_bases(fc: FrobeniusCoords) -> tuple[list[int], list[int], int]:
-    """The A_i +- 1/2 and -B_i -+ 1/2 as integers over one denominator Q:
-    the bases whose k-th powers add up to k Q^k S_k, split by sign, each
-    base netted once over all coordinates (so coordinates exactly 1 apart
-    cancel) and 0 dropped, as 0^k = 0 for k >= 2."""
+_frobenius_memo: tuple = (None, 1, (), ())  # the FrobeniusCoords read last, its bases
+
+
+def _frobenius_power_bases(fc: FrobeniusCoords) -> tuple[int, list[int], list[int]]:
+    """The A_i +- 1/2 and -B_i -+ 1/2 as integers over one denominator Q,
+    (Q, added, subtracted): the bases whose k-th powers add up to k Q^k S_k,
+    split by sign, each base netted once over all coordinates (so coordinates
+    exactly 1 apart cancel) and 0 dropped, as 0^k = 0 for k >= 2."""
     ratios = [x.as_integer_ratio() for x in fc.A + fc.B]
     den = lcm(*(d for _, d in ratios))
     net = Counter()
@@ -57,32 +82,25 @@ def _frobenius_power_bases(fc: FrobeniusCoords) -> tuple[list[int], list[int], i
         net[x - den] -= sign
     bases = {b: m for b, m in net.items() if b and m}
     g = gcd(2 * den, *bases)
-    return ([b // g for b, m in bases.items() for _ in range(m)],
-            [b // g for b, m in bases.items() for _ in range(-m)], 2 * den // g)
+    return (2 * den // g, [b // g for b, m in bases.items() for _ in range(m)],
+            [b // g for b, m in bases.items() for _ in range(-m)])
 
 
 def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     """S_k = sum_i integral_{-1/2}^{1/2} (A_i+z)^{k-1} - (-B_i-z)^{k-1} dz,
     so k S_k = sum_i (A_i+1/2)^k - (A_i-1/2)^k + (-B_i-1/2)^k - (-B_i+1/2)^k,
-    summed as k-th powers of the integer bases of _frobenius_power_bases
-    over Q^k.
+    the _power_sum of the integer bases of _frobenius_power_bases over Q^k.
 
-    The bases of the last coordinates read are kept in a one-entry memo,
-    keyed by the identity of `fc`, so the S_k of one FrobeniusCoords for
-    several k read its coordinates once.  Only a FrobeniusCoords whose two
-    fields are tuples is kept: one holding lists could change between
-    calls, and it is read again on every call."""
+    The bases are kept in a one-entry memo keyed by the identity of `fc`, so
+    the S_k of one FrobeniusCoords for several k read it once; one with list
+    fields could change between calls, so it is read again on every call."""
     global _frobenius_memo
-    if k < 2:
-        raise ValueError("k must be >= 2")
     memo = _frobenius_memo
     if memo[0] is not fc:
         memo = (fc, *_frobenius_power_bases(fc))
         if type(fc) is FrobeniusCoords and type(fc.A) is tuple and type(fc.B) is tuple:
             _frobenius_memo = memo
-    _, added, taken, den = memo
-    return Fraction(sum(map(pow, added, repeat(k))) - sum(map(pow, taken, repeat(k))),
-                    k * den ** k)
+    return _power_sum(*memo[1:], k)
 
 
 def _exponent_walk(variables: Sequence[Var], weights: Sequence[int],
@@ -141,42 +159,19 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
 
 
 def s_functional_multirect(m: MultiRect, k: int) -> Fraction:
-    """S_k of a concrete multirectangle from the corner form of
-    s_functional_multirect_symbolic, k S_k = (-Y_r)^k +
-    sum_i (q_i-Y_{i-1})^k - (q_i-Y_i)^k, in the integers D q_i and D Y_i over
-    D^k, D the common denominator of the p_i and q_i: O(r) powers, no
-    polynomial."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    den = lcm(*(x.denominator for x in m.p + m.q))
-    y = total = 0
-    for p, q in zip(m.p, m.q):
-        width = q.numerator * (den // q.denominator)
-        total += (width - y) ** k
-        y += p.numerator * (den // p.denominator)
-        total -= (width - y) ** k
-    return Fraction(total + (-y) ** k, k * den ** k)
+    """S_k of a concrete multirectangle, the corner form of
+    s_functional_multirect_symbolic: the _power_sum of its _profile."""
+    return _power_sum(*_profile(m), k)
 
 
 def s_vector(diagram: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
-    """S_k for 2 <= k <= k_max as a map: s_functional_multirect on a
-    MultiRect, else the sum of s_functional_boxes over one tally m_d of boxes
-    per content (row i holds 1-i .. lam_i-i), summed by parts:
-    k S_k = sum_d m_d ((d+1)^k - 2 d^k + (d-1)^k) = sum_d c_d d^k with
-    c_d = m_{d+1} - 2 m_d + m_{d-1}, nonzero only at the corners of the
-    profile, so each k reads about 2 (distinct parts) + 1 contents."""
-    if isinstance(diagram, MultiRect):
-        return {k: s_functional_multirect(diagram, k) for k in range(2, k_max + 1)}
-    tally = Counter()
-    for i, r in enumerate(check_partition(diagram), 1):
-        tally.update(range(1 - i, r + 1 - i))
-    corners = [(d, c) for d in range(min(tally, default=0) - 1, max(tally, default=0) + 2)
-               if d and (c := tally[d + 1] - 2 * tally[d] + tally[d - 1])]
-    contents, weights = [d for d, _ in corners], [c * d for d, c in corners]
-    out = {}
-    for k in range(2, k_max + 1):  # weights holds c_d d^k
-        weights = [w * d for w, d in zip(weights, contents)]
-        out[k] = Fraction(sum(weights), k)
+    """S_k for 2 <= k <= k_max of a partition or a MultiRect, the power sums
+    of its _profile by running products: O(distinct parts) or O(r) per k."""
+    den, minima, maxima = _profile(diagram)
+    bases, powers, out = minima + maxima, minima + [-y for y in maxima], {}
+    for k in range(2, k_max + 1):
+        powers = list(map(mul, powers, bases))
+        out[k] = Fraction(sum(powers), k * den ** k)
     return out
 
 
@@ -323,7 +318,7 @@ def r_vector_from_s(s_values: Mapping[int, object], k_max: int) -> dict[int, Fra
 
 def r_vector(rows: Partition | MultiRect, k_max: int) -> dict[int, Fraction]:
     """R_k for 2 <= k <= k_max of a partition or a multirectangle, from the
-    S-values of s_vector: the content tally or the corner form."""
+    S-values of s_vector, the power sums of its profile's corners."""
     return r_vector_from_s(s_vector(rows, k_max), k_max)
 
 

@@ -52,8 +52,8 @@ def integral_multirects(max_entry: int, max_r: int, n_cap: int | None = None):
 
 
 def check_s_multirect_vs_boxes(max_entry: int, max_r: int, max_k: int, n_cap: int):
-    """The corner form of s_vector on a MultiRect against its content tally on
-    the partition."""
+    """s_vector of a MultiRect, its profile read from the blocks, against
+    s_vector of its partition, the same profile read from the rows."""
     for m in integral_multirects(max_entry, max_r, n_cap):
         boxes = functionals.s_vector(m.to_partition(), max_k)
         for k, a in functionals.s_vector(m, max_k).items():

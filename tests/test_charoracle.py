@@ -217,3 +217,31 @@ def test_caches_can_be_cleared():
     charoracle.clear_caches()
     assert not charoracle._mn_cache
     assert mn_character((3, 2), (2, 2, 1)) == mn_character((3, 2), (1, 2, 2))
+
+
+def test_memos_are_bounded():
+    # 2 x 256 distinct shapes fill each memo twice over its bound: each keeps
+    # at most 256 entries, dropping the oldest first, and every value it kept
+    # or dropped is what a fresh computation gives
+    charoracle.clear_caches()
+    shapes = [rows for n in range(3, 16) for rows in partitions(n)][:2 * 256]
+    assert len(shapes) == 512
+    cycle = {rows: (3,) + (1,) * (sum(rows) - 3) for rows in shapes}
+    chars = {}
+    for i, rows in enumerate(shapes):
+        # each shape adds one key (rows, (3, 1, ...)) to _mn_cache
+        chars[rows] = mn_character(rows, cycle[rows])
+        assert list(charoracle._mn_cache) == [(s, cycle[s]) for s in shapes[max(0, i - 255):i + 1]]
+    dims = {rows: dimension(rows) for rows in shapes}
+    mn_memo, dim_memo = dict(charoracle._mn_cache), dict(charoracle._dim_cache)
+    assert len(mn_memo) == 256 and 0 < len(dim_memo) <= 256 and shapes[-1] in dim_memo
+    charoracle.clear_caches()
+    for (rows, mu), value in mn_memo.items():
+        assert value == charoracle._mn_recurse(rows, mu) == chars[rows]
+    for rows, value in dim_memo.items():
+        assert value == _dimension_by_boxes(rows)
+    charoracle.clear_caches()
+    for rows in shapes:
+        assert mn_character(rows, cycle[rows]) == chars[rows]
+        assert dimension(rows) == dims[rows] == _dimension_by_boxes(rows)
+    charoracle.clear_caches()

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -13,6 +13,7 @@ from symchar.functionals import (
     _dilation_difference,
     _graded_base,
     _multirect_factorization_sum,
+    _profile,
     free_cumulant_by_interpolation,
     free_cumulant_from_s,
     free_cumulant_multirect,
@@ -84,7 +85,8 @@ def _random_partition(rng, n):
 
 
 def test_s_vector_summed_by_parts_matches_content_tally():
-    # s_vector reads the second difference of the tally at the corners only
+    # s_vector reads the contents of the addable and removable boxes, where
+    # the second difference of the tally is nonzero, from the rows
     for rows in partitions_up_to(12):
         assert s_vector(rows, 14) == _s_by_content_tally(rows, 14), rows
     assert s_vector((), 40) == _s_by_content_tally((), 40) == {k: 0 for k in range(2, 41)}
@@ -92,6 +94,19 @@ def test_s_vector_summed_by_parts_matches_content_tally():
     for n in (100, 250, 500, 750, 1000):
         rows = _random_partition(rng, n)
         assert s_vector(rows, 40) == _s_by_content_tally(rows, 40), rows
+
+
+def test_profile_of_partitions():
+    # the minima and maxima of a partition's profile interlace, starting and
+    # ending with a minimum; sum x = sum y, and (sum x^2 - sum y^2) / 2 = n
+    for rows in [()] + list(partitions_up_to(12)):
+        den, minima, maxima = _profile(rows)
+        assert den == 1
+        corners = sorted([(x, "min") for x in minima] + [(y, "max") for y in maxima])
+        assert [kind for _, kind in corners] == ["min", "max"] * len(maxima) + ["min"], rows
+        assert len({x for x, _ in corners}) == len(corners), rows
+        assert sum(minima) == sum(maxima)
+        assert Fraction(sum(x * x for x in minima) - sum(y * y for y in maxima), 2) == sum(rows)
 
 
 def _s_by_half_shifts(fc, k):
@@ -168,6 +183,36 @@ def test_s_multirect_matches_boxes():
         assert s_functional_multirect(m, k) == s_functional_boxes((3, 1, 1), k)
 
 
+def _s_by_corner_loop(m, k):
+    # k D^k S_k = (-D Y_r)^k + sum_i (D q_i - D Y_{i-1})^k - (D q_i - D Y_i)^k,
+    # summed block by block over one running height
+    den = lcm(*(x.denominator for x in m.p + m.q))
+    y = total = 0
+    for p, q in zip(m.p, m.q):
+        width = q.numerator * (den // q.denominator)
+        total += (width - y) ** k
+        y += p.numerator * (den // p.denominator)
+        total -= (width - y) ** k
+    return Fraction(total + (-y) ** k, k * den ** k)
+
+
+def test_s_multirect_matches_corner_loop():
+    # seeded random rational multirectangles, zero entries and denominators
+    # 1, 2, 3 and 7 included, and the empty one
+    rng = random.Random(36)
+    shapes = [MultiRect((), ())]
+    for _ in range(500):
+        r = rng.randint(1, 4)
+        p = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in range(r)]
+        q = sorted((Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in range(r)),
+                   reverse=True)
+        shapes.append(MultiRect(p, q))
+    for m in shapes:
+        want = {k: _s_by_corner_loop(m, k) for k in range(2, 13)}
+        assert s_vector(m, 12) == want, m
+        assert {k: s_functional_multirect(m, k) for k in want} == want, m
+
+
 def _s_multirect_by_powers(r, k):
     # the block corner form expanded by RatPoly powers, term by term
     total = RatPoly.zero()
@@ -213,8 +258,8 @@ def test_s_multirect_corner_form_matches_symbolic():
 
 
 def test_s_vector_one_route_per_multirect():
-    # s_vector reads every MultiRect, integral or not, by the corner form; on
-    # an integral one it must give the content tally of its partition
+    # s_vector reads every MultiRect, integral or not, by its corners; on an
+    # integral one it must give what the rows of its partition give
     shapes = list(integral_multirects(3, 3)) + [MultiRect((0, 2, 1), (5, 3, 0))]
     for m in shapes:
         assert s_vector(m, 12) == s_vector(m.to_partition(), 12)

@@ -58,8 +58,8 @@ def test_r_multirect_random(m, k):
 @given(_multirects(), st.integers(2, 8))
 def test_s_multirect_random(m, k):
     # the corner form against the symbolic multinomial form, and against the
-    # content tally of the diagram scaled by the common denominator D of the
-    # entries, S_k being homogeneous of degree k
+    # S_k, read from its rows, of the partition of the diagram scaled by the
+    # common denominator D of the entries, S_k being homogeneous of degree k
     s = functionals.s_functional_multirect(m, k)
     symbolic = functionals.s_functional_multirect_symbolic(len(m.p), k)
     assert s == symbolic.evaluate(m.assignment())
