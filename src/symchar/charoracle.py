@@ -87,13 +87,20 @@ def _strip_removals(rows: Partition, length: int) -> list[tuple[Partition, int]]
 
 def mn_character(rows: Partition, mu: Sequence[int]) -> int:
     """chi^rows on the class of cycle type mu, |rows| = |mu| required."""
-    rows = check_partition(rows)
-    mu = tuple(sorted((int(m) for m in mu), reverse=True))
-    if any(m < 1 for m in mu):
-        raise ValueError("cycle type parts must be positive")
+    rows, mu = check_partition(rows), _cycle_type(mu)
     if sum(rows) != sum(mu):
         raise ValueError(f"size mismatch: |{rows}| = {sum(rows)} vs |{mu}| = {sum(mu)}")
     return _mn_recurse(rows, mu)
+
+
+def _cycle_type(mu: Sequence[int]) -> Partition:
+    """The parts of mu, positive integers, in descending order."""
+    mu = tuple(sorted(mu, reverse=True))
+    if not all(isinstance(m, int) for m in mu):
+        raise TypeError("cycle type parts must be integers")
+    if mu and mu[-1] < 1:
+        raise ValueError("cycle type parts must be positive")
+    return mu
 
 
 def _mn_recurse(rows: Partition, mu: Partition) -> int:
@@ -218,10 +225,7 @@ def normalized_character(rows: Partition, k: int) -> Fraction:
 def normalized_character_general(rows: Partition, pi_type: Sequence[int]) -> Fraction:
     """Sigma_pi for pi of the given cycle type on k = sum(pi_type) points,
     embedded in S(n) by padding with fixed points."""
-    rows = check_partition(rows)
-    pi_type = tuple(int(m) for m in pi_type)
-    if any(m < 1 for m in pi_type):
-        raise ValueError("cycle type parts must be positive")
+    rows, pi_type = check_partition(rows), _cycle_type(pi_type)
     k = sum(pi_type)
     n = sum(rows)
     if k > n:

@@ -17,8 +17,10 @@ Partition = tuple[int, ...]
 
 
 def check_partition(rows: Sequence[int]) -> Partition:
-    rows = tuple(int(r) for r in rows)
+    rows = tuple(rows)
     for i, r in enumerate(rows):
+        if not isinstance(r, int):
+            raise TypeError(f"row lengths must be integers, got {type(r).__name__}")
         if r < 1:
             raise ValueError(f"row lengths must be positive, got {r}")
         if i > 0 and rows[i - 1] < r:
@@ -126,8 +128,11 @@ class MultiRect:
     q: tuple[Fraction, ...]
 
     def __init__(self, p: Sequence, q: Sequence):
-        p = tuple(Fraction(x) for x in p)
-        q = tuple(Fraction(x) for x in q)
+        p, q = tuple(p), tuple(q)
+        for x in p + q:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+        p, q = tuple(map(Fraction, p)), tuple(map(Fraction, q))
         if len(p) != len(q):
             raise ValueError("p and q must have equal lengths")
         if any(x < 0 for x in p) or any(x < 0 for x in q):

@@ -2,8 +2,8 @@
 available through several independent computation routes.
 
 S_k is (k-1) times the integral of contents^{k-2} over the diagram: one power
-sum over the minima and maxima of its profile (_profile), or over doubled
-Frobenius coordinates, or symbolically on a multirectangular diagram.
+sum over the minima and maxima of its profile (_profile), or over the Frobenius
+half-shifts A_i +- 1/2, -B_i -+ 1/2, or symbolically on a multirectangle.
 R_k comes from the exact S-values (the table by truncated power-series
 composition, one R_k as one coefficient of an exponential, both in integers),
 as the leading coefficient of the dilated normalized character (a k-th finite
@@ -68,28 +68,24 @@ _frobenius_memo: tuple = (None, 1, (), ())  # the FrobeniusCoords read last, its
 
 
 def _frobenius_power_bases(fc: FrobeniusCoords) -> tuple[int, list[int], list[int]]:
-    """The A_i +- 1/2 and -B_i -+ 1/2 as integers over one denominator Q,
-    (Q, added, subtracted): the bases whose k-th powers add up to k Q^k S_k,
-    split by sign, each base netted once over all coordinates (so coordinates
-    exactly 1 apart cancel) and 0 dropped, as 0^k = 0 for k >= 2."""
-    ratios = [x.as_integer_ratio() for x in fc.A + fc.B]
+    """(Q, added, subtracted): the half-shifts A_i +- 1/2 and -B_i -+ 1/2 of
+    every coordinate as integers over one denominator Q, reduced by their gcd,
+    whose k-th powers add up to k Q^k S_k.  A float or str raises TypeError."""
+    ratios = [_as_fraction(x).as_integer_ratio() for x in fc.A + fc.B]
     den = lcm(*(d for _, d in ratios))
-    net = Counter()
-    for i, (n, d) in enumerate(ratios):
-        sign = 1 if i < len(fc.A) else -1
-        x = sign * 2 * n * (den // d)  # 2 A_i or -2 B_i, times den
-        net[x + den] += sign
-        net[x - den] -= sign
-    bases = {b: m for b, m in net.items() if b and m}
-    g = gcd(2 * den, *bases)
-    return (2 * den // g, [b // g for b, m in bases.items() for _ in range(m)],
-            [b // g for b, m in bases.items() for _ in range(-m)])
+    twice = [2 * n * (den // d) for n, d in ratios]  # 2 A_i, then 2 B_i, times den
+    a, b = twice[:len(fc.A)], twice[len(fc.A):]
+    added = [x + den for x in a] + [-y - den for y in b]
+    subtracted = [x - den for x in a] + [den - y for y in b]
+    g = gcd(2 * den, *added, *subtracted)
+    return 2 * den // g, [x // g for x in added], [x // g for x in subtracted]
 
 
 def s_functional_frobenius(fc: FrobeniusCoords, k: int) -> Fraction:
     """S_k = sum_i integral_{-1/2}^{1/2} (A_i+z)^{k-1} - (-B_i-z)^{k-1} dz,
-    so k S_k = sum_i (A_i+1/2)^k - (A_i-1/2)^k + (-B_i-1/2)^k - (-B_i+1/2)^k,
-    the _power_sum of the integer bases of _frobenius_power_bases over Q^k.
+    so k S_k = sum_i (A_i+1/2)^k - (A_i-1/2)^k + (-B_i-1/2)^k - (-B_i+1/2)^k:
+    the _power_sum of the half-shifts of _frobenius_power_bases over Q^k, as
+    given, none cancelled against another (which would leave _profile's corners).
 
     The bases are kept in a one-entry memo keyed by the identity of `fc`, so
     the S_k of one FrobeniusCoords for several k read it once; one with list

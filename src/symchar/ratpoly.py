@@ -13,9 +13,10 @@ descending variable sequence, e.g. "R7 + 35*R5 + 35*R3*R2 + 84*R3".
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Union
 
 CACHE_SIZE = 256  # entries kept by each lru_cache of polynomial results
@@ -221,32 +222,24 @@ class RatPoly:
         poly._terms = terms
         return poly
 
-    def _diff(self, v: Var) -> "RatPoly":
-        pairs = []
-        for mono, coeff in self._terms.items():
-            for pos, (var, exp) in enumerate(mono):
-                if var == v:
-                    lowered = ((var, exp - 1),) if exp > 1 else ()
-                    pairs.append((mono[:pos] + lowered + mono[pos + 1:], coeff * exp))
-                    break
-        return self._from_canonical(_collect(pairs))
-
     def derivative_at_zero(self, variables: Iterable[Var]) -> Fraction:
         """Iterated partial derivative, then every S- and R-family variable
-        set to 0.  The p and q variables are never implicitly zeroed; a
-        non-constant remainder in them is an error."""
-        poly = self
-        for v in variables:
-            poly = poly._diff(make_var(*v))
+        set to 0: the coefficient of x^e, e_v the times v is listed, times
+        prod_v e_v!.  The p and q variables are never implicitly zeroed; a
+        term x^e times a non-constant monomial in them is an error."""
+        need = Counter(make_var(*v) for v in variables)
         result = Fraction(0)
-        for mono, coeff in poly._terms.items():
-            if any(fam in ("S", "R") for (fam, _), _ in mono):
+        for mono, coeff in self._terms.items():
+            rest = Counter(dict(mono))
+            rest.subtract(need)
+            left = tuple(it for it in rest.items() if it[1])
+            if any(e < 0 or fam in ("S", "R") for (fam, _), e in left):
                 continue
-            if mono:
+            if left:
                 raise ValueError(
                     "derivative does not evaluate to a constant; "
-                    f"p/q variables remain: {mono}")
-            result = coeff
+                    f"p/q variables remain: {left}")
+            result = coeff * prod(map(factorial, need.values()))
         return result
 
     def evaluate(self, assignment: Mapping[Var, object]) -> Fraction:

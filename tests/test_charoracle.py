@@ -51,6 +51,17 @@ def test_mn_examples():
         mn_character((2, 1), (2, 2))
 
 
+def test_inexact_rows_and_classes_raise_type_error():
+    # neither a diagram nor a cycle type is read from floats
+    with pytest.raises(TypeError, match="row lengths must be integers"):
+        normalized_character((2.9, 1), 2)
+    for mu in ((2.5, 1), (2, 1.0)):
+        with pytest.raises(TypeError, match="cycle type parts must be integers"):
+            mn_character((2, 1), mu)
+        with pytest.raises(TypeError, match="cycle type parts must be integers"):
+            normalized_character_general((2, 1), mu)
+
+
 def test_mn_identity_class_equals_hook_dimension():
     # Full strip recursion against the hook length formula, all n <= 8.
     for rows in partitions_up_to(8):

@@ -30,6 +30,14 @@ def test_parse_and_format():
         parse_partition("2,0")
 
 
+def test_check_partition_rows_must_be_integers():
+    # a float or str row is not truncated or parsed into an integer
+    for rows in ((3.7, 2), (3, 2.0), ("3", 2)):
+        with pytest.raises(TypeError, match="row lengths must be integers"):
+            check_partition(rows)
+    assert check_partition([3, 2]) == (3, 2)
+
+
 def test_partition_counts():
     for n, expected in enumerate(PARTITION_COUNTS):
         assert sum(1 for _ in partitions(n)) == expected
@@ -115,6 +123,13 @@ def test_multirect_validation():
         MultiRect((1,), (1, 1))
     with pytest.raises(ValueError, match="^p and q entries must be nonnegative$"):
         MultiRect((-1,), (1,))
+
+
+def test_multirect_entries_must_be_exact():
+    # a float or str entry is not read as the rational it is near or spells
+    for p, q in (([0.1], [1]), (["1/2"], [1]), ([1], [Fraction(2), 0.5])):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            MultiRect(p, q)
 
 
 def test_multirect_is_an_immutable_value():

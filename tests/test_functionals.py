@@ -11,6 +11,7 @@ from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
     _dilation_difference,
+    _frobenius_power_bases,
     _graded_base,
     _multirect_factorization_sum,
     _profile,
@@ -134,8 +135,8 @@ def test_s_functional_frobenius_memo_follows_its_coordinates():
     big, small = frobenius((9, 7, 7, 4, 2, 1)), frobenius((5, 5, 2))
     twin = FrobeniusCoords(tuple(Fraction(x) for x in big.A), tuple(Fraction(x) for x in big.B))
     assert twin == big and twin is not big
-    # coordinates exactly 1 apart share a base that cancels, and A_1 = -B_2
-    # cancels both of their bases
+    # coordinates exactly 1 apart share a half-shift, and A_1 = -B_2 gives
+    # both of theirs with opposite signs
     apart = FrobeniusCoords((Fraction(10, 3), Fraction(7, 3), Fraction(2, 9)),
                             (Fraction(1, 5), Fraction(-10, 3), Fraction(6, 5)))
     for k in range(2, 14):
@@ -148,6 +149,25 @@ def test_s_functional_frobenius_memo_follows_its_coordinates():
     assert first == _s_by_half_shifts(mutable, 4)
     A[0] = Fraction(9, 2)
     assert s_functional_frobenius(mutable, 4) == _s_by_half_shifts(mutable, 4) != first
+
+
+def test_frobenius_power_bases_are_the_half_shifts():
+    # two bases per coordinate, in order, none cancelled against another's
+    half = Fraction(1, 2)
+    for fc in (frobenius((9, 7, 7, 4, 2, 1)), frobenius(()),
+               FrobeniusCoords((Fraction(10, 3), Fraction(7, 3)), (Fraction(1, 5), Fraction(-10, 3)))):
+        den, added, subtracted = _frobenius_power_bases(fc)
+        assert [Fraction(b, den) for b in added] == [a + half for a in fc.A] + [-b - half for b in fc.B]
+        assert [Fraction(b, den) for b in subtracted] == \
+            [a - half for a in fc.A] + [-b + half for b in fc.B]
+
+
+def test_s_functional_frobenius_coordinates_must_be_exact():
+    # a float or str coordinate is not read as the rational it is near or spells
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        s_functional_frobenius(FrobeniusCoords((0.1,), (0.5,)), 2)
+    with pytest.raises(TypeError, match="expected an exact rational, got str"):
+        s_functional_frobenius(FrobeniusCoords(("1/2",), (Fraction(1, 2),)), 2)
 
 
 def test_s_functional_boxes_examples():
