@@ -340,24 +340,31 @@ def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     return _dilation_difference(check_partition(rows), k, k) / factorial(k)
 
 
-def _multirect_factorization_sum(pi: perms.Perm, r: int,
-                                 cycle_total: int | None = None) -> RatPoly:
+def _multirect_factorization_sum(pi: perms.Perm, r: int, cycle_total: int | None = None,
+                                 multilinear: bool = False) -> RatPoly:
     """Sum over factorizations s1 o s2 = pi, only those with
     |C(s1)| + |C(s2)| = cycle_total when it is given, and over colorings
     phi2 of the s2-cycles by blocks 1..r, of sign(s1) prod_j p_{phi2(j)}
     prod_i q_{phi1(i)}, where phi1 gives each s1-cycle the largest phi2-color
     among the s2-cycles it meets.  Folds over perms.factorization_patterns.
+    If multilinear, only the injective colorings phi2 are summed, which give
+    exactly the terms of degree at most 1 in every p_i.
 
     A monomial is one int key: the exponents of p_1..p_r, q_1..q_r, each at
     most k = len(pi), as base-(k+1) digits.  The s2-cycles are colored in bit
     order over a frontier of states (per s1-cycle, the largest color so far,
-    -1 outside its bits) mapping keys to counts: patterns x states, not r^m2 colorings.
+    -1 outside its bits) mapping keys to counts: patterns x states, not r^m2
+    colorings.  If multilinear, a state also ends with the bitmask of the
+    colors taken, each s2-cycle takes a color outside it, and a pattern with
+    more s2-cycles than colors is skipped.
     """
     base = len(pi) + 1
     powers = [base ** c for c in range(2 * r)]
     accum: Counter = Counter()
+    colors, used = range(r), (0,) * multilinear  # used: no block taken yet
     for (m2, masks), mult in perms.factorization_patterns(pi).items():
-        if cycle_total is not None and len(masks) + m2 != cycle_total:
+        if (cycle_total is not None and len(masks) + m2 != cycle_total
+                or multilinear and m2 > r):
             continue
         weight = mult if (len(pi) - len(masks)) % 2 == 0 else -mult
         if r == 1:  # one coloring
@@ -369,12 +376,16 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int,
             for j in range(mask.bit_length() - 1):
                 if mask >> j & 1:
                     touch[j].append(i)
-        frontier = {(-1,) * len(masks): {0: weight}}
+        frontier = {(-1,) * len(masks) + used: {0: weight}}
         for touch_j, close_j in zip(touch, close):
             step: dict[tuple[int, ...], dict[int, int]] = {}
             for state, keys in frontier.items():
-                for c in range(r):
+                if multilinear:
+                    colors = [c for c in range(r) if not state[-1] >> c & 1]
+                for c in colors:
                     top = list(state)
+                    if multilinear:
+                        top[-1] |= 1 << c
                     for i in touch_j:
                         if top[i] < c:
                             top[i] = c
@@ -387,7 +398,8 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int,
                         key += shift
                         bucket[key] = bucket.get(key, 0) + count
             frontier = step
-        accum.update(frontier[(-1,) * len(masks)])
+        for keys in frontier.values():  # every s1-cycle has closed: -1 throughout
+            accum.update(keys)
     names = [("p", i) for i in range(1, r + 1)] + [("q", i) for i in range(1, r + 1)]
     terms = {}
     for key, c in accum.items():

@@ -32,12 +32,6 @@ from symchar.ratpoly import CACHE_SIZE, RatPoly
 from symchar.stanley import j_polynomial_by_counting
 
 
-def _subset_counts(masks: Sequence[int], m2: int) -> list[int]:
-    """counts[A] = number of s1-cycles (given by their masks) meeting the
-    union of the s2-cycles in subset A, for every subset bitmask A."""
-    return [len([m for m in masks if m & a]) for a in range(1 << m2)]
-
-
 def _strict_hall(counts: Sequence[int], colors: Sequence[int]) -> bool:
     """Every nontrivial subset A of s2-cycles must meet strictly more than
     sum_{i in A} (colors[i] - 1) cycles of s1."""
@@ -66,7 +60,7 @@ def marriage_condition(masks: Sequence[int], m2: int, colors: Sequence[int]) -> 
     is the color of the j-th s2-cycle, the colors totalling len(masks) + m2;
     any other input raises ValueError."""
     _check_pattern(masks, m2, colors)
-    return _strict_hall(_subset_counts(masks, m2), colors)
+    return _strict_hall(perms._subset_counts(masks, m2), colors)
 
 
 def _forced_assignment(masks: Sequence[int], m2: int, room: Sequence[int],
@@ -166,7 +160,7 @@ def kerov_polynomial_by_counting(k: int) -> RatPoly:
         raise ValueError("k must be >= 1")
     terms: Counter = Counter()
     for m2, masks, mult, colorings in _candidate_patterns(k):
-        counts = _subset_counts(masks, m2)
+        counts = perms._subset_counts(masks, m2)
         for colors in colorings:
             if _strict_hall(counts, colors):
                 mono = tuple((("R", c), e) for c, e in sorted(Counter(colors).items()))
@@ -218,8 +212,8 @@ def kerov_quadratic_derivative(k: int, j1: int, j2: int) -> int:
     for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
         if m2 != 2 or len(masks) != target_m1:
             continue
-        hits = [sum(1 for m in masks if m >> j & 1) for j in (0, 1)]
+        counts = perms._subset_counts(masks, 2)
         for ja, jb in ((j1, j2), (j2, j1)):
-            if hits[0] >= ja and hits[1] >= jb:
+            if counts[1] >= ja and counts[2] >= jb:
                 count += mult
     return count

@@ -113,6 +113,13 @@ def factorizations_of_cycle(k: int) -> Iterator[tuple[Perm, Perm]]:
         yield s1, compose(inverse(s1), target)
 
 
+def _subset_counts(masks: Sequence[int], m2: int) -> list[int]:
+    """counts[V] = N(V), the number of s1-cycles (given by the masks of a
+    factorization pattern) meeting the union of the s2-cycles in V, for
+    every subset bitmask V of the m2 s2-cycles."""
+    return [0] + [len([m for m in masks if m & v]) for v in range(1, 1 << m2)]
+
+
 def _walk_chains(k: int, visit: Callable[[list[int], list[int], int], None]) -> None:
     """Calls visit(t, e, p) once per orbit of S(k) under t -> c^i o t o c^j,
     c the canonical k-cycle, in lexicographic order of e below: t is the

@@ -32,6 +32,8 @@ _MIN_INDEX = {"S": 2, "R": 2, "p": 1, "q": 1}
 def make_var(family: str, index: int = 1) -> Var:
     if family not in _CANON_RANK:
         raise ValueError(f"unknown variable family {family!r}")
+    if type(index) is not int:
+        raise TypeError(f"variable index must be an int, got {type(index).__name__}")
     if index < _MIN_INDEX[family]:
         raise ValueError(f"index {index} too small for family {family!r}")
     return (family, index)
@@ -69,7 +71,8 @@ def normalize_mono(mono: Union[Mono, Mapping[Var, int]]) -> Mono:
     for var, exp in pairs:
         fam, idx = var
         make_var(fam, idx)
-        exp = int(exp)
+        if type(exp) is not int:
+            raise TypeError(f"exponent must be an int, got {type(exp).__name__}")
         if exp < 0:
             raise ValueError("exponents must be nonnegative")
         if exp:
@@ -335,7 +338,8 @@ class RatPoly:
             coeff = Fraction(-1 if chunk[0] == "-" else 1)
             mono = []
             for piece in chunk.lstrip("+-").split("*"):
-                num = re.fullmatch(r"(\d+)(?:/(\d+))?", piece)
+                # a zero denominator is malformed text, like any other
+                num = re.fullmatch(r"(\d+)(?:/(0*[1-9]\d*))?", piece)
                 if num:
                     coeff *= Fraction(int(num.group(1)), int(num.group(2) or 1))
                     continue
@@ -359,7 +363,10 @@ class RatPoly:
         pairs = []
         for entry in doc["terms"]:
             mono = normalize_mono({parse_var_name(n): e for n, e in entry["mono"].items()})
-            pairs.append((mono, Fraction(entry["coeff"])))
+            coeff = entry["coeff"]
+            if type(coeff) not in (str, int):
+                raise TypeError(f"coefficient must be str or int, got {type(coeff).__name__}")
+            pairs.append((mono, Fraction(coeff)))
         return cls._from_canonical(_collect(pairs))
 
     def to_json(self) -> str:

@@ -11,7 +11,10 @@ This sum and the J_k count run as folds over one pass of
 perms.factorization_patterns (122 tally keys, intersection patterns, at
 k = 7, not k! pairs).  The sum counts the colorings of each pattern over a
 frontier of states, so it costs patterns x frontier states, not r^m2
-colorings.
+colorings.  J_k by extraction reads only terms of degree at most 1 in each
+p_i, so it sums only the injective colorings; the count walks each
+pattern's labelings as chains of sets of s2-cycles and drops a chain at the
+first label that is the maximum of no s1-cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iterperms
 from math import factorial, perm, prod
 from typing import Sequence
 
@@ -56,9 +58,12 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     p-variables lead every canonical monomial, so such a term starts with
     that prefix and goes on with no other p; distinct terms keep distinct
     suffixes."""
-    if len(set(indices)) != len(indices):
+    order = sorted(indices)
+    if len(set(order)) != len(order):
         raise ValueError("indices must be distinct")
-    prefix = tuple((("p", i), 1) for i in sorted(indices))
+    if order and order[0] < 1:
+        raise ValueError("indices must be >= 1")
+    prefix = tuple((("p", i), 1) for i in order)
     n = len(prefix)
     return RatPoly._from_canonical({
         mono[n:]: coeff for mono, coeff in poly.terms()
@@ -76,6 +81,8 @@ def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:
     indices = tuple(indices)
     if not indices or list(indices) != sorted(set(indices)):
         raise ValueError("indices must be strictly increasing")
+    if indices[0] < 1:
+        raise ValueError("indices must be >= 1")
     s = len(indices)
     r = indices[-1]
     got = p_bracket(s_functional_multirect_symbolic(r, k), indices)
@@ -104,6 +111,12 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     s2-cycles it intersects; a triple whose label-i count is j_i - 1 for all
     i contributes to the iterated derivative of J_k with respect to
     S_{j_1}..S_{j_l}, with global sign (-1)^{l-1}.
+
+    A labeling is read from the top label down as a chain of sets of
+    s2-cycles: the s2-cycle j added to the set V of higher labels takes a
+    label that is the maximum of N(V + {j}) - N(V) s1-cycles, N the subset
+    counts of perms._subset_counts, and a branch stops where that count is
+    0, as every labeling through it leaves a label the maximum of none.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -111,13 +124,17 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
     for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
         if len(masks) < m2:
             continue  # some label would be the maximum of no s1-cycle
-        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
-        for labeling in iterperms(range(1, m2 + 1)):
-            counts = [0] * m2
-            for a in adj:
-                counts[max([labeling[j] for j in a]) - 1] += 1
-            if 0 not in counts:
-                by_multiset[tuple(sorted(c + 1 for c in counts))] += mult
+        counts, full = perms._subset_counts(masks, m2), (1 << m2) - 1
+        chains = [(0, ())]
+        while chains:
+            v, parts = chains.pop()
+            if v == full:
+                by_multiset[tuple(sorted(parts))] += mult
+                continue
+            for j in range(m2):
+                w = v | 1 << j
+                if counts[w] != counts[v]:  # also skips j already in v
+                    chains.append((w, parts + (counts[w] - counts[v] + 1,)))
     terms: dict[Mono, Fraction] = {}
     for key, total in by_multiset.items():
         mono = tuple((("S", j), e) for j, e in sorted(Counter(key).items()))
@@ -128,11 +145,16 @@ def j_polynomial_by_counting(k: int) -> RatPoly:
 def j_polynomial_via_stanley(k: int) -> RatPoly:
     """J_k reconstructed from coefficient extraction on the character's
     multirectangular polynomial, an independent route to the same object.
-    The polynomial has one block per S-factor of the longest monomial."""
+    The polynomial has one block per S-factor of the longest monomial, and
+    only its p-multilinear part is built, from the colorings that give each
+    s2-cycle its own block, as pq_bracket reads only terms of degree 1 in
+    each of p_1..p_l: at k = 9, 1,211 of the full polynomial's 13,596 terms,
+    for 41 brackets."""
     if k < 1:
         raise ValueError("k must be >= 1")
     multisets = j_monomial_multisets(k)
-    poly = stanley_character_poly(perms.canonical_cycle(k), max(map(len, multisets)))
+    poly = _multirect_factorization_sum(perms.canonical_cycle(k), max(map(len, multisets)),
+                                        multilinear=True)
     terms: dict[Mono, Fraction] = {}
     for ms in multisets:
         deriv = pq_bracket(poly, ms)

@@ -473,10 +473,15 @@ def _coloring_sum_reference(pi, r, cycle_total=None):
       for r in range(1, 4)),
 ])
 def test_multirect_factorization_sum_matches_coloring_loop(pi, r, cycle_total):
-    got = _multirect_factorization_sum(pi, r, cycle_total)
+    # the multilinear mode is exactly the full sum's terms of degree at most 1
+    # in every p_i
     want = _coloring_sum_reference(pi, r, cycle_total)
-    assert got == want
-    assert str(got) == str(want)
+    part = RatPoly({mono: c for mono, c in want.terms()
+                    if all(e == 1 for (fam, _), e in mono if fam == "p")})
+    for multilinear, expected in ((False, want), (True, part)):
+        got = _multirect_factorization_sum(pi, r, cycle_total, multilinear)
+        assert got == expected, multilinear
+        assert str(got) == str(expected)
 
 
 def test_free_cumulant_multirect_rectangle():

@@ -37,6 +37,47 @@ def test_make_var_validation():
             parse_var_name(name)
 
 
+def test_make_var_rejects_an_inexact_index():
+    # an index that equals an int is still not one: it would print as S2.0
+    for family, index in (("S", 2.0), ("p", True), ("q", Fraction(1)), ("R", "3")):
+        with pytest.raises(TypeError, match="variable index must be an int"):
+            make_var(family, index)
+        with pytest.raises(TypeError, match="variable index must be an int"):
+            RatPoly.variable((family, index))
+
+
+def test_normalize_mono_rejects_an_inexact_exponent():
+    # int() would truncate 2.5 to 2 and parse "2"
+    for exp in (2.5, 2.0, "2", True, Fraction(2)):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            RatPoly({((("S", 2), exp),): 1})
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            RatPoly.from_text("S2^2").coefficient_of({("S", 2): exp})
+    assert RatPoly.from_text("S2^2").coefficient_of({("S", 2): 2}) == 1
+
+
+def test_from_json_dict_rejects_inexact_coefficients_and_exponents():
+    def doc(mono, coeff):
+        return {"terms": [{"mono": mono, "coeff": coeff}]}
+
+    for coeff in (0.1, 1.0, True, None, [1]):
+        with pytest.raises(TypeError, match="coefficient must be str or int"):
+            RatPoly.from_json_dict(doc({"S2": 1}, coeff))
+    for exp in (2.5, 2.0, "2", True):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            RatPoly.from_json_dict(doc({"S2": exp}, "1"))
+    assert RatPoly.from_json_dict(doc({"S2": 2}, "-3/4")) == Fraction(-3, 4) * S(2) ** 2
+    assert RatPoly.from_json_dict(doc({"S2": 1}, 3)) == 3 * S(2)
+
+
+def test_from_text_rejects_a_zero_denominator():
+    # ValueError, as for other malformed text, not ZeroDivisionError
+    for text in ("1/0", "S2 + 3/0*S3", "S2*0/0", "1/00"):
+        with pytest.raises(ValueError, match="malformed term piece"):
+            RatPoly.from_text(text)
+    assert RatPoly.from_text("3/02*S2 + 0/5") == Fraction(3, 2) * S(2)
+
+
 def test_ring_trivials():
     assert (S(2) + (-S(2))).is_zero()
     assert S(2) * S(3) == RatPoly({((("S", 2), 1), (("S", 3), 1)): 1})

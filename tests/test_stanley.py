@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from itertools import permutations as iterperms
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,19 @@ def test_p_bracket_rejects_duplicate_indices():
             p_bracket(P(1) * P(2) * Q(1), indices)
 
 
+def test_bracket_indices_start_at_one():
+    # no polynomial has a block p_0 or p_-1: reading one is an error, not an
+    # empty bracket, nor a failing coefficient identity
+    for indices in ([0], [2, 0], [-1, 1]):
+        with pytest.raises(ValueError, match="indices must be >= 1"):
+            p_bracket(P(1) * P(2) * Q(1), indices)
+    for indices in ((0,), (0, 1), (-1, 2, 3)):
+        with pytest.raises(ValueError, match="indices must be >= 1"):
+            check_s_coefficient_formula(3, indices)
+    assert p_bracket(P(1) * P(2) * Q(1), [2, 1]) == Q(1)
+    assert p_bracket(P(1) * P(2) * Q(1), []).is_zero()
+
+
 def test_derivative_via_stanley_on_s_monomials():
     for m in (2, 3, 4):
         poly = stanley.s_functional_multirect_symbolic(2, m)
@@ -147,6 +162,32 @@ def test_derivative_via_stanley_on_character():
 @pytest.mark.parametrize("k", sorted(J_EXPECTED))
 def test_j_polynomials_match_display(k):
     assert j_polynomial_by_counting(k) == RatPoly.from_text(J_EXPECTED[k])
+
+
+def _j_by_labelings(k):
+    # the labeling loop that the chains of j_polynomial_by_counting replace:
+    # every bijective labeling of the s2-cycles of every pattern, each
+    # s1-cycle counted at the largest label among the s2-cycles it meets,
+    # the labelings that leave a label the maximum of none dropped
+    by_multiset = Counter()
+    for (m2, masks), mult in perms.factorization_patterns(perms.canonical_cycle(k)).items():
+        adj = [[j for j in range(m2) if mask >> j & 1] for mask in masks]
+        for labeling in iterperms(range(1, m2 + 1)):
+            counts = [0] * m2
+            for a in adj:
+                counts[max(labeling[j] for j in a) - 1] += 1
+            if 0 not in counts:
+                by_multiset[tuple(sorted(c + 1 for c in counts))] += mult
+    return RatPoly({tuple((("S", j), e) for j, e in Counter(key).items()):
+                    Fraction((-1) ** (len(key) - 1) * total, factorial(len(key)))
+                    for key, total in by_multiset.items()})
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_j_count_matches_labeling_loop(k):
+    got, want = j_polynomial_by_counting(k), _j_by_labelings(k)
+    assert got == want
+    assert str(got) == str(want)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
