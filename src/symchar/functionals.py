@@ -103,18 +103,22 @@ def _exponent_walk(variables: Sequence[Var], weights: Sequence[int],
                    top: int) -> list[tuple[Mono, int, int, int]]:
     """Every nonzero exponent vector e of `variables` (canonical order, weights
     never falling) with sum_i weights[i] e_i <= top, as (monomial, that weight,
-    sum_i e_i, prod_i e_i!), each grown from its prefix with no sort or tally."""
+    sum_i e_i, prod_i e_i!), each grown from its prefix with no sort or tally:
+    the one-factor tuple ((var, e),) is built once per variable and exponent
+    and every monomial that takes it shares it."""
     walk, live = [], [((), 0, 0, 1)]
     for var, w in zip(variables, weights):
         # a prefix with no room for w has none for the weights after it
         live = [state for state in live if state[1] + w <= top]
+        factors = [((var, e),) for e in range(top // w + 1)]
         grown = []
         for mono, used, parts, fact in live:
-            e = 1
-            while used + e * w <= top:
+            e, used = 1, used + w
+            while used <= top:
                 fact *= e
-                grown.append((mono + ((var, e),), used + e * w, parts + e, fact))
+                grown.append((mono + factors[e], used, parts + e, fact))
                 e += 1
+                used += w
         walk += grown
         live += grown
     return walk
@@ -143,14 +147,14 @@ def s_functional_multirect_symbolic(r: int, k: int) -> RatPoly:
     if k < 2:
         raise ValueError("k must be >= 2")
     scale = [(-1) ** (a + 1) * comb(k, a) * factorial(a) for a in range(k)]
-    q_factor = [[(("q", i), k - a) for a in range(k)] for i in range(r + 1)]
+    q_factor = [[((("q", i), k - a),) for a in range(k)] for i in range(r + 1)]
     coeffs, terms = {}, {}
     for mono, a, _, fact in _exponent_walk([("p", i) for i in range(1, r + 1)], [1] * r, k - 1):
         num = scale[a] // fact
         coeff = coeffs.get(num)
         if coeff is None:  # each distinct coefficient is reduced once
             coeff = coeffs[num] = Fraction(num, k)
-        terms[mono + (q_factor[mono[-1][0][1]][a],)] = coeff
+        terms[mono + q_factor[mono[-1][0][1]][a]] = coeff
     return RatPoly._from_canonical(terms)
 
 

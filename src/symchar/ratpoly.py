@@ -287,16 +287,22 @@ class RatPoly:
         return Fraction(total, cden * den ** top)
 
     def substitute(self, replacements: Mapping[Var, "RatPoly"]) -> "RatPoly":
-        """Replace variables by polynomials; unmentioned variables persist."""
+        """Replace variables by polynomials; unmentioned variables persist.
+        Each (variable, exponent) factor that occurs is raised once per call,
+        and that power multiplies every term that has the factor."""
         reps = {make_var(*v): poly for v, poly in replacements.items()}
-        pairs = []
+        powers, pairs = {}, []
         for mono, coeff in self._terms.items():
             term = RatPoly.const(coeff)
-            for var, exp in mono:
-                base = reps.get(var)
-                if base is None:
-                    base = RatPoly.variable(var)
-                term = term * base ** exp
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    var, exp = factor
+                    base = reps.get(var)
+                    if base is None:
+                        base = RatPoly.variable(var)
+                    power = powers[factor] = base ** exp
+                term = term * power
             pairs.extend(term._terms.items())
         return self._from_canonical(_collect(pairs))
 

@@ -57,17 +57,23 @@ def p_bracket(poly: RatPoly, indices: Sequence[int]) -> RatPoly:
     terms whose p-part is exactly one power of each listed p-index.  The
     p-variables lead every canonical monomial, so such a term starts with
     that prefix and goes on with no other p; distinct terms keep distinct
-    suffixes."""
+    suffixes.  Most terms differ from the prefix in their first factor, so
+    that factor is compared before the slice.  An index that is not an int
+    (a bool included) raises TypeError."""
+    for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"indices must be ints, got {type(i).__name__}")
     order = sorted(indices)
     if len(set(order)) != len(order):
         raise ValueError("indices must be distinct")
     if order and order[0] < 1:
         raise ValueError("indices must be >= 1")
     prefix = tuple((("p", i), 1) for i in order)
-    n = len(prefix)
+    n, head = len(prefix), prefix[0] if prefix else None
     return RatPoly._from_canonical({
         mono[n:]: coeff for mono, coeff in poly.terms()
-        if mono[:n] == prefix and (len(mono) == n or mono[n][0][0] != "p")})
+        if (head is None or mono and mono[0] == head) and mono[:n] == prefix
+        and (len(mono) == n or mono[n][0][0] != "p")})
 
 
 def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -11,6 +11,7 @@ from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, dilate, frobenius, partitions, partitions_up_to
 from symchar.functionals import (
     _dilation_difference,
+    _exponent_walk,
     _frobenius_power_bases,
     _graded_base,
     _multirect_factorization_sum,
@@ -244,6 +245,29 @@ def _s_multirect_by_powers(r, k):
                          - (-y_prev) ** k + (-y_next) ** k)
         y_prev = y_next
     return total * Fraction(1, k)
+
+
+def _exponent_walk_by_product(variables, weights, top):
+    # the reference enumeration: every exponent vector in the box
+    # e_i <= top // w_i, kept when it is nonzero and within the weight
+    out = []
+    for exps in product(*(range(top // w + 1) for w in weights)):
+        weight = sum(e * w for e, w in zip(exps, weights))
+        if any(exps) and weight <= top:
+            mono = tuple((var, e) for var, e in zip(variables, exps) if e)
+            out.append((mono, weight, sum(exps), prod(map(factorial, exps))))
+    return sorted(out)
+
+
+def test_exponent_walk_matches_product_enumeration():
+    # unit weights, the multirect case, and weights 2..top, the partition sums
+    cases = [([("p", i) for i in range(1, n + 1)], [1] * n, top)
+             for n, top in [(1, 1), (1, 5), (3, 4), (5, 3), (4, 6), (8, 2)]]
+    cases += [([("S", j) for j in range(2, top + 1)], range(2, top + 1), top)
+              for top in range(2, 11)]
+    for variables, weights, top in cases:
+        got = sorted(_exponent_walk(variables, weights, top))
+        assert got == _exponent_walk_by_product(variables, weights, top)
 
 
 def test_s_multirect_symbolic_matches_power_expansion():

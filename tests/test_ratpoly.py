@@ -143,6 +143,32 @@ def test_substitute():
     assert g == R(4) + R(2)
 
 
+def _substitute_term_by_term(f, replacements):
+    # the reference: every factor of every term raised again
+    total = RatPoly.zero()
+    for mono, coeff in f.terms():
+        term = RatPoly.const(coeff)
+        for var, exp in mono:
+            term = term * replacements.get(var, RatPoly.variable(var)) ** exp
+        total = total + term
+    return total
+
+
+def test_substitute_matches_term_by_term_product():
+    # S2^2, S3 and S4 recur across terms and each replacement has several
+    # terms; the second leaves R3, p1 and q1 as they are, R3 also in S2's image
+    f = (S(2) ** 2 * S(3) + 3 * S(2) ** 2 - Fraction(1, 2) * S(2) ** 2 * S(4)
+         + S(3) * S(4) - 5 * S(3) + S(4) * S(2) ** 3)
+    every = {("S", 2): R(2) + 1, ("S", 3): R(3) - 2 * R(2) + Fraction(1, 3),
+             ("S", 4): R(4) + Fraction(3, 2) * R(2) ** 2}
+    g = S(2) ** 3 * R(3) + R(3) ** 2 * S(2) - P(1) * Q(1) * S(2) ** 3 + 7 * R(3) - 2
+    some = {("S", 2): R(2) - R(3)}
+    for poly, replacements in ((f, every), (g, some)):
+        got = poly.substitute(replacements)
+        want = _substitute_term_by_term(poly, replacements)
+        assert got == want and str(got) == str(want)
+
+
 def test_canonical_text():
     k6 = R(7) + 35 * R(5) + 35 * R(3) * R(2) + 84 * R(3)
     assert str(k6) == "R7 + 35*R5 + 35*R3*R2 + 84*R3"

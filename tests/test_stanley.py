@@ -6,7 +6,7 @@ from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symchar import perms, stanley
@@ -113,10 +113,15 @@ _poly_st = st.dictionaries(
 
 @settings(max_examples=100, deadline=None)
 @given(poly=_poly_st, indices=st.lists(st.integers(1, 5), unique=True, max_size=4))
+@example(poly=P(1) * Q(1) + Q(2) * S(2) + 3 - P(2) ** 2, indices=[])
+@example(poly=P(1) * P(2) * Q(1) + P(1) * Q(2) + P(1) * P(3) - P(1) ** 2 * P(2) + P(1),
+         indices=[2, 1])
 def test_p_bracket_matches_set_form(poly, indices):
     # unsorted and empty index lists, and indices no term carries; the
     # product gives terms with exactly the listed p-part, and with a square
-    # of one of them where a term of poly already holds that p
+    # of one of them where a term of poly already holds that p; the second
+    # example's terms share their first factor p1 with the prefix, or its
+    # variable with another exponent
     marked = poly * RatPoly({tuple((("p", i), 1) for i in indices): 1}) + poly
     for f in (poly, marked):
         assert p_bracket(f, indices) == _p_bracket_by_sets(f, indices)
@@ -125,6 +130,13 @@ def test_p_bracket_matches_set_form(poly, indices):
 def test_p_bracket_rejects_duplicate_indices():
     for indices in ([1, 1], [2, 1, 2]):
         with pytest.raises(ValueError, match="indices must be distinct"):
+            p_bracket(P(1) * P(2) * Q(1), indices)
+
+
+def test_p_bracket_rejects_inexact_indices():
+    # ("p", 1.0), ("p", True) and ("p", Fraction(1)) compare equal to ("p", 1)
+    for indices in ([1.0], [True], [2, 1.0], [Fraction(1)], [1, False]):
+        with pytest.raises(TypeError, match="indices must be ints"):
             p_bracket(P(1) * P(2) * Q(1), indices)
 
 
