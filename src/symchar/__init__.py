@@ -29,6 +29,7 @@ _HOMES = {
                 "stanley_character_poly"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = {*_HOMES, "cli", "perms", "verify"}
 
 __version__ = "0.1.0"
 
@@ -37,7 +38,11 @@ __all__ = sorted(_HOME_OF)
 
 def __getattr__(name: str):
     """A public name, loaded from its submodule on first use and kept in the
-    package namespace from then on."""
+    package namespace from then on.  A submodule, such as `symchar.kerov`,
+    is imported on first access too, as the commands and modules import a
+    sibling only where they call it."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f"{__name__}.{_HOME_OF[name]}"), name)

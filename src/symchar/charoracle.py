@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import factorial, perm, prod
 from typing import Sequence
 
-from symchar.diagrams import Partition, check_partition, conjugate
+from symchar.diagrams import Partition, check_partition
 
 _MEMO_SIZE = 256  # entries per memo, oldest dropped first, as ratpoly.CACHE_SIZE
 _mn_cache: dict[tuple[Partition, Partition], int] = {}
@@ -121,15 +121,6 @@ def _mn_recurse(rows: Partition, mu: Partition) -> int:
         del _mn_cache[next(iter(_mn_cache))]
     _mn_cache[key] = total
     return total
-
-
-def hook_lengths(rows: Partition) -> list[int]:
-    conj = conjugate(rows)
-    return [
-        (rows[i] - j) + (conj[j - 1] - (i + 1)) + 1
-        for i in range(len(rows))
-        for j in range(1, rows[i] + 1)
-    ]
 
 
 def dimension(rows: Partition) -> int:

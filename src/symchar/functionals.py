@@ -20,12 +20,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from symchar import perms
-from symchar.charoracle import normalized_character
 from symchar.diagrams import FrobeniusCoords, MultiRect, Partition, check_partition, dilate
 from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var, _as_fraction
+
+if TYPE_CHECKING:
+    from symchar.perms import Perm
 
 
 def _profile(diagram: Partition | MultiRect) -> tuple[int, list[int], list[int]]:
@@ -329,7 +330,10 @@ def _dilation_difference(rows: Partition, k: int, order: int) -> Fraction:
         sum_{s=1..order} (-1)^(order-s) C(order,s) Sigma_{k-1}(s.rows),
 
     the s = 0 term dropping, as Sigma_{k-1} vanishes on the empty diagram."""
-    values = [normalized_character(dilate(rows, s), k - 1) for s in range(1, order + 1)]
+    from symchar import charoracle
+
+    values = [charoracle.normalized_character(dilate(rows, s), k - 1)
+              for s in range(1, order + 1)]
     den = lcm(*(v.denominator for v in values))
     return Fraction(sum((-1) ** (order - s) * comb(order, s) * v.numerator * (den // v.denominator)
                         for s, v in enumerate(values, 1)), den)
@@ -344,7 +348,7 @@ def free_cumulant_by_interpolation(rows: Partition, k: int) -> Fraction:
     return _dilation_difference(check_partition(rows), k, k) / factorial(k)
 
 
-def _multirect_factorization_sum(pi: perms.Perm, r: int, cycle_total: int | None = None,
+def _multirect_factorization_sum(pi: Perm, r: int, cycle_total: int | None = None,
                                  multilinear: bool = False) -> RatPoly:
     """Sum over factorizations s1 o s2 = pi, only those with
     |C(s1)| + |C(s2)| = cycle_total when it is given, and over colorings
@@ -362,6 +366,8 @@ def _multirect_factorization_sum(pi: perms.Perm, r: int, cycle_total: int | None
     colors taken, each s2-cycle takes a color outside it, and a pattern with
     more s2-cycles than colors is skipped.
     """
+    from symchar import perms
+
     base = len(pi) + 1
     powers = [base ** c for c in range(2 * r)]
     accum: Counter = Counter()
@@ -423,6 +429,8 @@ def free_cumulant_multirect_symbolic(r: int, k: int) -> RatPoly:
     pairs s1 o s2 = (1,...,k-1) in S(k-1) with |C(s1)| + |C(s2)| = k,
     colorings phi2 of the s2-cycles by blocks, sign(s1), q-factors attached
     to s1-cycles through the max rule and p-factors to s2-cycles."""
+    from symchar import perms
+
     if r < 1:
         raise ValueError("need at least one block")
     if k < 2:

@@ -27,9 +27,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from symchar import perms
-from symchar.functionals import _partition_sums
 from symchar.ratpoly import CACHE_SIZE, RatPoly
-from symchar.stanley import j_polynomial_by_counting
 
 
 def _strict_hall(counts: Sequence[int], colors: Sequence[int]) -> bool:
@@ -185,15 +183,20 @@ def s_in_terms_of_r(k_max: int) -> Mapping[int, RatPoly]:
     >>> print(s_in_terms_of_r(4)[4])
     R4 + 3/2*R2^2
     """
+    from symchar import functionals
+
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    return MappingProxyType(_partition_sums("R", 2, k_max, lambda j, l: perm(j - 1, l - 1)))
+    return MappingProxyType(
+        functionals._partition_sums("R", 2, k_max, lambda j, l: perm(j - 1, l - 1)))
 
 
 def kerov_polynomial_by_conversion(k: int) -> RatPoly:
     """K_k obtained independently: substitute the S_j(R) inversion into the
     counting-generated J_k and expand."""
-    jpoly = j_polynomial_by_counting(k)
+    from symchar import stanley
+
+    jpoly = stanley.j_polynomial_by_counting(k)
     table = s_in_terms_of_r(k + 1)
     return jpoly.substitute({("S", j): poly for j, poly in table.items()})
 

@@ -289,11 +289,12 @@ class RatPoly:
     def substitute(self, replacements: Mapping[Var, "RatPoly"]) -> "RatPoly":
         """Replace variables by polynomials; unmentioned variables persist.
         Each (variable, exponent) factor that occurs is raised once per call,
-        and that power multiplies every term that has the factor."""
+        and that power multiplies every term that has the factor; a term's
+        coefficient scales the product of its powers at the end."""
         reps = {make_var(*v): poly for v, poly in replacements.items()}
         powers, pairs = {}, []
         for mono, coeff in self._terms.items():
-            term = RatPoly.const(coeff)
+            term = None
             for factor in mono:
                 power = powers.get(factor)
                 if power is None:
@@ -302,8 +303,11 @@ class RatPoly:
                     if base is None:
                         base = RatPoly.variable(var)
                     power = powers[factor] = base ** exp
-                term = term * power
-            pairs.extend(term._terms.items())
+                term = power if term is None else term * power
+            if term is None:
+                pairs.append(((), coeff))
+            else:
+                pairs.extend((m, c * coeff) for m, c in term._terms.items())
         return self._from_canonical(_collect(pairs))
 
     def __str__(self) -> str:

@@ -26,8 +26,6 @@ from math import factorial, perm, prod
 from typing import Sequence
 
 from symchar import perms
-from symchar.diagrams import partitions
-from symchar.functionals import _multirect_factorization_sum, s_functional_multirect_symbolic
 from symchar.perms import Perm
 from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
 
@@ -35,9 +33,11 @@ from symchar.ratpoly import CACHE_SIZE, Mono, RatPoly, Var
 def stanley_character_poly(pi: Perm, r: int) -> RatPoly:
     """The normalized character of pi on the r-block diagram p x q, fully
     expanded as an exact polynomial in p_1..p_r, q_1..q_r."""
+    from symchar import functionals
+
     if r < 1:
         raise ValueError("need at least one block")
-    return _multirect_factorization_sum(pi, r)
+    return functionals._multirect_factorization_sum(pi, r)
 
 
 def pq_bracket(poly: RatPoly, js: Sequence[int]) -> Fraction:
@@ -84,6 +84,8 @@ def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:
     for 1 <= s <= k - 1, and 0 otherwise.  The left side is extracted from
     the symbolic multirectangular S_k and compared as a polynomial in q.
     """
+    from symchar import functionals
+
     indices = tuple(indices)
     if not indices or list(indices) != sorted(set(indices)):
         raise ValueError("indices must be strictly increasing")
@@ -91,7 +93,7 @@ def check_s_coefficient_formula(k: int, indices: Sequence[int]) -> bool:
         raise ValueError("indices must be >= 1")
     s = len(indices)
     r = indices[-1]
-    got = p_bracket(s_functional_multirect_symbolic(r, k), indices)
+    got = p_bracket(functionals.s_functional_multirect_symbolic(r, k), indices)
     if 1 <= s <= k - 1:
         coeff = Fraction((-1) ** (s - 1) * perm(k - 1, s - 1))
         expected = RatPoly.variable(("q", indices[-1])) ** (k - s) * coeff
@@ -104,7 +106,10 @@ def j_monomial_multisets(k: int) -> list[tuple[int, ...]]:
     """Sorted multisets (j_1 <= ... <= j_l), j_i >= 2, that can index a
     monomial of J_k: the total S-weight sum(j_i) is at most k + 1.  Listed
     in lexicographic order."""
-    return sorted(mu[::-1] for n in range(2, k + 2) for mu in partitions(n) if mu[-1] >= 2)
+    from symchar import diagrams
+
+    return sorted(mu[::-1] for n in range(2, k + 2) for mu in diagrams.partitions(n)
+                  if mu[-1] >= 2)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -156,11 +161,13 @@ def j_polynomial_via_stanley(k: int) -> RatPoly:
     s2-cycle its own block, as pq_bracket reads only terms of degree 1 in
     each of p_1..p_l: at k = 9, 1,211 of the full polynomial's 13,596 terms,
     for 41 brackets."""
+    from symchar import functionals
+
     if k < 1:
         raise ValueError("k must be >= 1")
     multisets = j_monomial_multisets(k)
-    poly = _multirect_factorization_sum(perms.canonical_cycle(k), max(map(len, multisets)),
-                                        multilinear=True)
+    poly = functionals._multirect_factorization_sum(
+        perms.canonical_cycle(k), max(map(len, multisets)), multilinear=True)
     terms: dict[Mono, Fraction] = {}
     for ms in multisets:
         deriv = pq_bracket(poly, ms)

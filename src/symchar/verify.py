@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from math import comb, factorial
 from typing import NamedTuple
 
-from symchar import charoracle, functionals, kerov, perms, stanley
+from symchar import functionals
 from symchar.diagrams import MultiRect, dilate, frobenius, partitions_up_to
 from symchar.ratpoly import RatPoly
 
@@ -81,6 +81,8 @@ def check_r_multirect(multirects, max_k: int):
 
 
 def check_kerov_count_vs_conversion(max_k: int):
+    from symchar import kerov
+
     for k in range(1, max_k + 1):
         a = kerov.kerov_polynomial_by_counting(k)
         b = kerov.kerov_polynomial_by_conversion(k)
@@ -90,6 +92,8 @@ def check_kerov_count_vs_conversion(max_k: int):
 
 
 def check_j_count_vs_stanley(max_k: int):
+    from symchar import stanley
+
     for k in range(1, max_k + 1):
         a = stanley.j_polynomial_by_counting(k)
         b = stanley.j_polynomial_via_stanley(k)
@@ -100,6 +104,8 @@ def check_j_count_vs_stanley(max_k: int):
 
 def check_eval_vs_oracle(max_n: int, max_k: int):
     """evaluate(K_k, R(lam)) = Sigma_k(lam) = evaluate(J_k, S(lam))."""
+    from symchar import charoracle, kerov, stanley
+
     for rows in partitions_up_to(max_n):
         top = min(sum(rows), max_k)
         svals = functionals.s_vector(rows, top + 1)
@@ -118,6 +124,8 @@ def check_eval_vs_oracle(max_n: int, max_k: int):
 
 
 def check_stanley_character_vs_oracle(max_k: int, max_r: int, max_entry: int):
+    from symchar import charoracle, perms, stanley
+
     for k in range(1, max_k + 1):
         for pi in perms.all_perms(k):
             ptype = perms.cycle_type(pi)
@@ -131,6 +139,8 @@ def check_stanley_character_vs_oracle(max_k: int, max_r: int, max_entry: int):
 
 
 def check_s_coefficient_formula(max_k: int):
+    from symchar import stanley
+
     for k in range(2, max_k + 1):
         for s in range(1, k + 2):
             if not stanley.check_s_coefficient_formula(k, tuple(range(1, s + 1))):
@@ -144,6 +154,8 @@ def check_bracket_identity(max_k: int, sum_cap: int):
     """(m-1) [p_1 q_1^{m-1}] F = -[p_1 p_2 q_2^{m-2}] F for F the two-block
     character polynomial of the k-cycle and m = j1 + j2 <= sum_cap, j1, j2 >= 2:
     the identity reads the pair only through its sum m."""
+    from symchar import perms, stanley
+
     for k in range(1, max_k + 1):
         poly = stanley.stanley_character_poly(perms.canonical_cycle(k), 2)
         for m in range(4, sum_cap + 1):
@@ -154,6 +166,8 @@ def check_bracket_identity(max_k: int, sum_cap: int):
 
 
 def check_order_does_not_matter(max_k: int, max_l: int = 3):
+    from symchar import perms, stanley
+
     for k in range(1, max_k + 1):
         poly = stanley.stanley_character_poly(perms.canonical_cycle(k), max_l)
         for ms in stanley.j_monomial_multisets(k):
@@ -183,6 +197,8 @@ def check_rands_truncation(max_k: int):
 def check_graded_leading_term(max_k: int):
     """With S_j graded at j - 1, the two top weights of J_k are
     S_{k+1} - (k/2) sum_{j1+j2=k+1} S_{j1} S_{j2}."""
+    from symchar import stanley
+
     for k in range(3, max_k + 1):
         jpoly = stanley.j_polynomial_by_counting(k)
         expected = RatPoly.variable(("S", k + 1))
@@ -212,6 +228,8 @@ def check_homogeneity(budget: int, max_k: int):
 
 
 def check_marriage_equivalence(max_k: int):
+    from symchar import kerov
+
     for k in range(1, max_k + 1):
         for m2, masks, _, colorings in kerov._candidate_patterns(k):
             for colors in colorings:
@@ -224,6 +242,8 @@ def check_marriage_equivalence(max_k: int):
 
 
 def check_catalan_minimal_factorizations(max_k: int):
+    from symchar import perms
+
     for k in range(1, max_k + 1):
         patterns = perms.factorization_patterns(perms.canonical_cycle(k))
         pairs = sum(patterns.values())
@@ -237,6 +257,8 @@ def check_catalan_minimal_factorizations(max_k: int):
 
 
 def check_quadratic_vs_derivative(max_k: int):
+    from symchar import kerov
+
     for k in range(1, max_k + 1):
         kpoly = kerov.kerov_polynomial_by_counting(k)
         for j1 in range(2, k):

@@ -6,7 +6,6 @@ import pytest
 from symchar import charoracle, perms
 from symchar.charoracle import (
     dimension,
-    hook_lengths,
     mn_character,
     normalized_character,
     normalized_character_general,
@@ -67,6 +66,17 @@ def test_mn_identity_class_equals_hook_dimension():
     for rows in partitions_up_to(8):
         n = sum(rows)
         assert mn_character(rows, (1,) * n) == dimension(rows)
+
+
+def hook_lengths(rows):
+    """The hook length of every box, row by row: the box-by-box reference
+    for dimension's one falling factorial per (row, run of equal parts)."""
+    conj = conjugate(rows)
+    return [
+        (rows[i] - j) + (conj[j - 1] - (i + 1)) + 1
+        for i in range(len(rows))
+        for j in range(1, rows[i] + 1)
+    ]
 
 
 def test_dimension_examples():

@@ -376,9 +376,12 @@ def test_marriage_check_reports_the_failing_pattern(capsys, monkeypatch):
     assert failed[0]["detail"] == detail
 
 
-LIBRARY = {"symchar", "symchar.cli", "symchar.charoracle", "symchar.diagrams",
-           "symchar.functionals", "symchar.kerov", "symchar.perms", "symchar.ratpoly",
-           "symchar.stanley", "symchar.verify"}
+def _modules(names):
+    """The package and the named submodules, as sys.modules keys."""
+    return {"symchar"} | {f"symchar.{name}" for name in names.split()}
+
+
+LIBRARY = _modules("cli charoracle diagrams functionals kerov perms ratpoly stanley verify")
 
 
 def _fresh_footprint(statement):
@@ -395,10 +398,27 @@ def _fresh_footprint(statement):
 @pytest.mark.parametrize("argv, modules", [
     (None, {"symchar"}),
     (["character", "--lambda", "3,2,1", "--k", "3", "--json"],
-     {"symchar", "symchar.cli", "symchar.diagrams", "symchar.charoracle"}),
-    (["poly", "--k", "4", "--json"], LIBRARY - {"symchar.verify"}),
-    (["poly", "--k", "4", "--basis", "S", "--route", "stanley"], LIBRARY - {"symchar.verify"}),
-    (["cumulants", "--p", "1/2", "--q", "3", "--max-k", "4", "--json"], LIBRARY),
+     _modules("cli diagrams charoracle")),
+    (["poly", "--k", "4", "--json"], _modules("cli perms ratpoly kerov")),
+    (["poly", "--k", "4", "--route", "convert"],
+     _modules("cli perms ratpoly kerov stanley functionals diagrams")),
+    (["poly", "--k", "4", "--route", "stanley"],
+     _modules("cli perms ratpoly kerov stanley functionals diagrams")),
+    (["poly", "--k", "4", "--basis", "S"], _modules("cli perms ratpoly stanley")),
+    (["poly", "--k", "4", "--basis", "S", "--route", "convert"],
+     _modules("cli perms ratpoly kerov functionals diagrams")),
+    (["poly", "--k", "4", "--basis", "S", "--route", "stanley"],
+     _modules("cli perms ratpoly stanley functionals diagrams")),
+    # at most 6 boxes, so the interpolation check reads the oracle
+    (["cumulants", "--lambda", "2,1", "--max-k", "4"],
+     _modules("cli diagrams ratpoly functionals verify charoracle")),
+    (["cumulants", "--lambda", "4,3", "--max-k", "4"],
+     _modules("cli diagrams ratpoly functionals verify")),
+    (["cumulants", "--p", "1/2", "--q", "3", "--max-k", "4", "--json"],
+     _modules("cli diagrams ratpoly functionals verify perms")),
+    # integral and of at most 6 boxes: both the multirect and the interpolation check
+    (["cumulants", "--p", "1,1", "--q", "2,1", "--max-k", "4"],
+     _modules("cli diagrams ratpoly functionals verify perms charoracle")),
     (["verify", "--max-n", "2", "--max-k", "2"], LIBRARY),
 ])
 def test_start_up_footprint(argv, modules):
@@ -407,6 +427,11 @@ def test_start_up_footprint(argv, modules):
     statement = ("import symchar" if argv is None else
                  f"from symchar.cli import main\nassert main({argv!r}) == 0")
     assert _fresh_footprint(statement) == modules
+
+
+def test_cli_import_loads_no_library_module():
+    # the set-up of every command: argument parsing needs no library module
+    assert _fresh_footprint("import symchar.cli") == _modules("cli")
 
 
 def test_package_exports_load_on_first_use():
@@ -421,3 +446,8 @@ def test_package_exports_load_on_first_use():
     assert set(symchar.__all__) <= set(dir(symchar))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         symchar.no_such_name
+
+
+def test_submodules_load_on_first_use():
+    # a submodule that no import has loaded yet is loaded by attribute access
+    assert _fresh_footprint("import symchar\nsymchar.perms.canonical_cycle(3)") == _modules("perms")

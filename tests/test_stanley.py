@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symchar import perms, stanley
+from symchar import functionals, perms, stanley
 from symchar.charoracle import normalized_character_general
 from symchar.diagrams import MultiRect
 from symchar.ratpoly import P, Q, RatPoly, S, _collect
@@ -70,14 +70,14 @@ def test_character_formula_small_sweep():
 
 def test_s_coefficient_formula_examples():
     # [p_i] S_k = q_i^{k-1}
-    got = p_bracket(stanley.s_functional_multirect_symbolic(2, 5), (2,))
+    got = p_bracket(functionals.s_functional_multirect_symbolic(2, 5), (2,))
     assert got == Q(2) ** 4
     # k=4, s=2, indices (1,2): -3 * q2^2
-    got = p_bracket(stanley.s_functional_multirect_symbolic(2, 4), (1, 2))
+    got = p_bracket(functionals.s_functional_multirect_symbolic(2, 4), (1, 2))
     assert got == -3 * Q(2) ** 2
     # s = k: coefficient 0
     assert check_s_coefficient_formula(3, (1, 2, 3))
-    assert p_bracket(stanley.s_functional_multirect_symbolic(3, 3), (1, 2, 3)).is_zero()
+    assert p_bracket(functionals.s_functional_multirect_symbolic(3, 3), (1, 2, 3)).is_zero()
 
 
 def test_s_coefficient_formula_sweep():
@@ -155,12 +155,12 @@ def test_bracket_indices_start_at_one():
 
 def test_derivative_via_stanley_on_s_monomials():
     for m in (2, 3, 4):
-        poly = stanley.s_functional_multirect_symbolic(2, m)
+        poly = functionals.s_functional_multirect_symbolic(2, m)
         for j in (2, 3, 4):
             assert pq_bracket(poly, (j,)) == (1 if j == m else 0)
     # product S2*S3: both orders give 1
-    prod = (stanley.s_functional_multirect_symbolic(2, 2)
-            * stanley.s_functional_multirect_symbolic(2, 3))
+    prod = (functionals.s_functional_multirect_symbolic(2, 2)
+            * functionals.s_functional_multirect_symbolic(2, 3))
     assert pq_bracket(prod, (2, 3)) == 1
     assert pq_bracket(prod, (3, 2)) == 1
 
@@ -243,13 +243,13 @@ def _bracket_identity_holds(poly, j1, j2):
 def test_bracket_identity_on_s_monomial():
     # F = S_{j1+j2}: both sides reduce to the single-S coefficient formula
     for j1, j2 in ((2, 2), (2, 3), (3, 4)):
-        poly = stanley.s_functional_multirect_symbolic(2, j1 + j2)
+        poly = functionals.s_functional_multirect_symbolic(2, j1 + j2)
         assert _bracket_identity_holds(poly, j1, j2)
 
 
 def test_bracket_identity_quadratic_vanishes():
-    poly = (stanley.s_functional_multirect_symbolic(2, 2)
-            * stanley.s_functional_multirect_symbolic(2, 3))
+    poly = (functionals.s_functional_multirect_symbolic(2, 2)
+            * functionals.s_functional_multirect_symbolic(2, 3))
     m = 4  # j1 = j2 = 2
     assert poly.coefficient_of({("p", 1): 1, ("q", 1): m - 1}) == 0
     assert poly.coefficient_of({("p", 1): 1, ("p", 2): 1, ("q", 2): m - 2}) == 0

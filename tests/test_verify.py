@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symchar import functionals, stanley, verify
+from symchar import charoracle, functionals, stanley, verify
 from symchar.charoracle import normalized_character, normalized_character_general
 from symchar.diagrams import MultiRect, conjugate
 from symchar.ratpoly import P, Q
@@ -167,8 +167,8 @@ def test_dilation_polynomiality_reports_the_failing_degree(monkeypatch, extra):
     # adding n^2 (degree 4 in s) or n times the row count (degree 3, one past
     # the bound) to Sigma_1 makes s -> Sigma_1(s.lam) of degree > 2 on every
     # non-empty diagram; the first one checked is (1,)
-    normalized_character = functionals.normalized_character
-    monkeypatch.setattr(functionals, "normalized_character",
+    normalized_character = charoracle.normalized_character
+    monkeypatch.setattr(charoracle, "normalized_character",
                         lambda rows, k: normalized_character(rows, k) + (extra(rows) if k == 1 else 0))
     assert verify.check_dilation_polynomiality(4, 5) == (False, "lam=(1,) k=2: degree bound violated")
     failed = _failed(verify.run_checks(3, 3))
